@@ -55,11 +55,20 @@ BENCHMARK(BM_GemmNT)->Arg(16)->Arg(64)->Arg(256);
 // each blocked row against its Ref twin from BENCH_aggregate.json.
 //
 //   nt {16, 3136, 512}: femnist Linear(3136->512) forward, batch 16
-//   nt {16, 64, 32}   : compact CIFAR MLP forward, batch 16
+//   nt {16, 64, 32}   : compact CIFAR MLP Linear(64->32) forward, batch 16
+//   nt {16, 64, 48}   : compact FEMNIST MLP Linear(64->48) forward
+//   nt {16, 48, 62}   : compact FEMNIST MLP Linear(48->62) forward
 //   nn {16, 512, 3136}: femnist Linear backward dX
 //   nn {32, 800, 256} : GN-LeNet conv2 forward as im2col GEMM
+//   nn {16, 62, 48}   : compact FEMNIST MLP Linear(48->62) backward dX
 //   tn {512, 16, 3136}: femnist Linear backward dW
 //   tn {32, 256, 800} : GN-LeNet conv2 backward dW as im2col GEMM
+//   tn {32, 16, 64}   : compact CIFAR MLP Linear(64->32) backward dW
+//   tn {48, 16, 64}   : compact FEMNIST MLP Linear(64->48) backward dW
+//   tn {62, 16, 48}   : compact FEMNIST MLP Linear(48->62) backward dW
+//
+// The compact-MLP rows are the shapes every sweep preset trains at: nn
+// and tn take the register-row kernels, nt the blocked path.
 // ---------------------------------------------------------------------------
 
 using GemmFn = void (*)(std::size_t, std::size_t, std::size_t,
@@ -86,12 +95,15 @@ void BM_GemmShape(benchmark::State& state) {
 
 void GemmNTShapes(benchmark::internal::Benchmark* bench) {
   bench->Args({16, 3136, 512})->Args({16, 64, 32});
+  bench->Args({16, 64, 48})->Args({16, 48, 62});
 }
 void GemmNNShapes(benchmark::internal::Benchmark* bench) {
   bench->Args({16, 512, 3136})->Args({32, 800, 256});
+  bench->Args({16, 62, 48});
 }
 void GemmTNShapes(benchmark::internal::Benchmark* bench) {
   bench->Args({512, 16, 3136})->Args({32, 256, 800});
+  bench->Args({32, 16, 64})->Args({48, 16, 64})->Args({62, 16, 48});
 }
 
 BENCHMARK(BM_GemmShape<tensor::gemm_nt>)

@@ -1,5 +1,6 @@
 #include "data/dataset.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -54,10 +55,20 @@ std::span<const float> DatasetView::sample(std::size_t i) const {
 
 namespace {
 
-tensor::Shape batch_shape(const Dataset& dataset, std::size_t batch) {
-  tensor::Shape shape = dataset.features.shape();
+/// Sizes `features` to `batch` rows of the dataset's sample shape.
+/// Allocation-free when it already has that shape (every training step
+/// after the first).
+void size_batch(const Dataset& dataset, std::size_t batch,
+                tensor::Tensor& features) {
+  const tensor::Shape& full = dataset.features.shape();
+  const tensor::Shape& have = features.shape();
+  if (have.size() == full.size() && have[0] == batch &&
+      std::equal(full.begin() + 1, full.end(), have.begin() + 1)) {
+    return;
+  }
+  tensor::Shape shape = full;
   shape[0] = batch;
-  return shape;
+  features = tensor::Tensor(std::move(shape));
 }
 
 }  // namespace
@@ -67,8 +78,7 @@ void DatasetView::sample_batch(util::Rng& rng, std::size_t batch_size,
                                std::vector<std::int32_t>& labels) const {
   assert(!empty());
   const std::size_t d = dataset_->feature_dim();
-  const tensor::Shape shape = batch_shape(*dataset_, batch_size);
-  if (features.shape() != shape) features = tensor::Tensor(shape);
+  size_batch(*dataset_, batch_size, features);
   labels.resize(batch_size);
   for (std::size_t b = 0; b < batch_size; ++b) {
     const std::size_t pick =
@@ -85,8 +95,7 @@ void DatasetView::fill_range(std::size_t start, std::size_t count,
                              std::vector<std::int32_t>& labels) const {
   assert(start + count <= size());
   const std::size_t d = dataset_->feature_dim();
-  const tensor::Shape shape = batch_shape(*dataset_, count);
-  if (features.shape() != shape) features = tensor::Tensor(shape);
+  size_batch(*dataset_, count, features);
   labels.resize(count);
   for (std::size_t b = 0; b < count; ++b) {
     const std::size_t src = indices_[start + b];

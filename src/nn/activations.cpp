@@ -21,6 +21,7 @@ void ReLU::forward(const Tensor& input, Tensor& output) {
 void ReLU::backward(const Tensor& input, const Tensor& grad_output,
                     Tensor& grad_input) {
   assert(input.numel() == grad_output.numel());
+  if (grad_input.empty()) return;
   const auto in = input.data();
   const auto gout = grad_output.data();
   const auto gin = grad_input.data();
@@ -44,6 +45,7 @@ void Tanh::forward(const Tensor& input, Tensor& output) {
 
 void Tanh::backward(const Tensor& input, const Tensor& grad_output,
                     Tensor& grad_input) {
+  if (grad_input.empty()) return;
   const auto in = input.data();
   const auto gout = grad_output.data();
   const auto gin = grad_input.data();

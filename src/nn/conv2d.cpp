@@ -185,7 +185,8 @@ void Conv2d::backward_im2col(const Tensor& input, const Tensor& grad_output,
   std::span<float> grad_w{grads_.data(), out_c_ * patch};
   float* grad_b = grads_.data() + out_c_ * patch;
 
-  grad_input.zero();
+  const bool want_gin = !grad_input.empty();
+  if (want_gin) grad_input.zero();
   colr_.resize(ohw * patch);
   gout_t_.resize(ohw * out_c_);
 
@@ -196,7 +197,6 @@ void Conv2d::backward_im2col(const Tensor& input, const Tensor& grad_output,
   for (std::size_t b = 0; b < batch; ++b) {
     const float* image = in.data() + b * in_sz;
     const float* gout_plane = gout.data() + b * out_sz;
-    float* gin_image = gin.data() + b * in_sz;
 
     // Bias gradient: the direct loop's (oc, oy, ox) order and g == 0 skip.
     for (std::size_t oc = 0; oc < out_c_; ++oc) {
@@ -221,7 +221,10 @@ void Conv2d::backward_im2col(const Tensor& input, const Tensor& grad_output,
                     std::span<const float>{colr_.data(), ohw * patch}, grad_w,
                     /*beta=*/1.0f);
 
-    backward_input_image(g, out_c_, gout_plane, weights.data(), gin_image);
+    if (want_gin) {
+      backward_input_image(g, out_c_, gout_plane, weights.data(),
+                           gin.data() + b * in_sz);
+    }
   }
 }
 
@@ -286,7 +289,7 @@ void Conv2d::backward_direct(const Tensor& input, const Tensor& grad_output,
   float* grad_w = grads_.data();
   float* grad_b = grads_.data() + out_c_ * in_c_ * k_ * k_;
 
-  grad_input.zero();
+  if (!grad_input.empty()) grad_input.zero();
   const auto in = input.data();
   const auto gout = grad_output.data();
   const auto gin = grad_input.data();
@@ -301,7 +304,8 @@ void Conv2d::backward_direct(const Tensor& input, const Tensor& grad_output,
           grad_b[oc] += g;
           for (std::size_t ic = 0; ic < in_c_; ++ic) {
             const float* in_plane = in.data() + ((b * in_c_ + ic) * h) * w;
-            float* gin_plane = gin.data() + ((b * in_c_ + ic) * h) * w;
+            float* gin_plane =
+                gin.empty() ? nullptr : gin.data() + ((b * in_c_ + ic) * h) * w;
             const float* kernel = weights + ((oc * in_c_ + ic) * k_) * k_;
             float* gkernel = grad_w + ((oc * in_c_ + ic) * k_) * k_;
             for (std::size_t ky = 0; ky < k_; ++ky) {
@@ -317,7 +321,7 @@ void Conv2d::backward_direct(const Tensor& input, const Tensor& grad_output,
                 const std::size_t idx = static_cast<std::size_t>(iy) * w +
                                         static_cast<std::size_t>(ix);
                 gkernel[ky * k_ + kx] += g * in_plane[idx];
-                gin_plane[idx] += g * kernel[ky * k_ + kx];
+                if (gin_plane) gin_plane[idx] += g * kernel[ky * k_ + kx];
               }
             }
           }

@@ -123,6 +123,7 @@ void GroupNorm::backward(const Tensor& input, const Tensor& grad_output,
         grad_gamma[c] += static_cast<float>(dgamma);
         grad_beta[c] += static_cast<float>(dbeta);
       }
+      if (gin.empty()) continue;
 
       // Second pass: dx = inv_std * (dxhat - mean(dxhat) - xhat*mean(dxhat*xhat)).
       const float mean_dxhat = static_cast<float>(sum_dxhat / n);

@@ -116,6 +116,13 @@ class Layer {
 
   /// Accumulates parameter gradients and writes grad wrt input.
   /// Contract: called after forward() on the same `input`.
+  ///
+  /// `grad_input` is either pre-sized to input.shape() or empty:
+  ///   * pre-sized: its contents on entry are unspecified (callers reuse
+  ///     buffers), so the layer writes every element;
+  ///   * empty: the input gradient is not needed (e.g. the first layer of
+  ///     a model) — the layer accumulates its parameter gradients exactly
+  ///     as it would otherwise and writes nothing to `grad_input`.
   virtual void backward(const Tensor& input, const Tensor& grad_output,
                         Tensor& grad_input) = 0;
 

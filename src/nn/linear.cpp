@@ -52,6 +52,7 @@ void Linear::backward(const Tensor& input, const Tensor& grad_output,
     for (std::size_t j = 0; j < out_; ++j) grad_b[j] += row[j];
   }
   // dX[B, in] = dY[B, out] * W[out, in]
+  if (grad_input.empty()) return;
   tensor::gemm_nn(batch, out_, in_, grad_output.data(), w, grad_input.data());
 }
 

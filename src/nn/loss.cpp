@@ -1,8 +1,9 @@
 #include "nn/loss.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace skiptrain::nn {
 
@@ -19,6 +20,27 @@ double log_sum_exp(const float* row, std::size_t n) {
   return static_cast<double>(max_val) + std::log(sum);
 }
 
+/// Release-grade input checks shared by both entry points: one label per
+/// row, each in [0, classes). A bad label would otherwise index past the
+/// logits row.
+void check_labels(const char* who, std::size_t batch, std::size_t classes,
+                  std::span<const std::int32_t> labels) {
+  if (labels.size() != batch) {
+    throw std::invalid_argument(std::string(who) + ": " +
+                                std::to_string(labels.size()) +
+                                " labels for a batch of " +
+                                std::to_string(batch));
+  }
+  for (std::size_t b = 0; b < batch; ++b) {
+    if (labels[b] < 0 || static_cast<std::size_t>(labels[b]) >= classes) {
+      throw std::invalid_argument(
+          std::string(who) + ": row " + std::to_string(b) + " has label " +
+          std::to_string(labels[b]) + ", outside [0, " +
+          std::to_string(classes) + ")");
+    }
+  }
+}
+
 }  // namespace
 
 LossResult softmax_cross_entropy(const tensor::Tensor& logits,
@@ -26,8 +48,13 @@ LossResult softmax_cross_entropy(const tensor::Tensor& logits,
                                  tensor::Tensor& grad_logits) {
   const std::size_t batch = logits.dim(0);
   const std::size_t classes = logits.numel() / batch;
-  assert(labels.size() == batch);
-  assert(grad_logits.shape() == logits.shape());
+  check_labels("softmax_cross_entropy", batch, classes, labels);
+  if (grad_logits.shape() != logits.shape()) {
+    throw std::invalid_argument(
+        "softmax_cross_entropy: grad_logits shape " +
+        tensor::shape_to_string(grad_logits.shape()) + " != logits shape " +
+        tensor::shape_to_string(logits.shape()));
+  }
 
   double total_loss = 0.0;
   std::size_t correct = 0;
@@ -37,7 +64,6 @@ LossResult softmax_cross_entropy(const tensor::Tensor& logits,
     const float* row = logits.raw() + b * classes;
     float* grad = grad_logits.raw() + b * classes;
     const auto label = static_cast<std::size_t>(labels[b]);
-    assert(label < classes);
 
     const double lse = log_sum_exp(row, classes);
     total_loss += lse - static_cast<double>(row[label]);
@@ -61,7 +87,7 @@ LossResult softmax_cross_entropy_eval(const tensor::Tensor& logits,
                                       std::span<const std::int32_t> labels) {
   const std::size_t batch = logits.dim(0);
   const std::size_t classes = logits.numel() / batch;
-  assert(labels.size() == batch);
+  check_labels("softmax_cross_entropy_eval", batch, classes, labels);
 
   double total_loss = 0.0;
   std::size_t correct = 0;

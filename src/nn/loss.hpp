@@ -16,11 +16,14 @@ struct LossResult {
 
 /// Computes mean cross-entropy of `logits` [B, C] against integer labels
 /// and writes d(loss)/d(logits) = (softmax - onehot)/B into `grad_logits`.
+/// Throws std::invalid_argument (in every build type) unless there is one
+/// label per row, each in [0, C), and grad_logits has the logits' shape.
 LossResult softmax_cross_entropy(const tensor::Tensor& logits,
                                  std::span<const std::int32_t> labels,
                                  tensor::Tensor& grad_logits);
 
-/// Loss/accuracy only (no gradient); used by evaluation paths.
+/// Loss/accuracy only (no gradient); used by evaluation paths. Same label
+/// checks as softmax_cross_entropy.
 LossResult softmax_cross_entropy_eval(const tensor::Tensor& logits,
                                       std::span<const std::int32_t> labels);
 

@@ -69,6 +69,7 @@ void MaxPool2d::backward(const Tensor& input, const Tensor& grad_output,
                          Tensor& grad_input) {
   (void)input;
   assert(argmax_.size() == grad_output.numel());
+  if (grad_input.empty()) return;
   grad_input.zero();
   const auto gout = grad_output.data();
   const auto gin = grad_input.data();
@@ -97,6 +98,7 @@ void Flatten::forward(const Tensor& input, Tensor& output) {
 void Flatten::backward(const Tensor& input, const Tensor& grad_output,
                        Tensor& grad_input) {
   (void)input;
+  if (grad_input.empty()) return;
   tensor::copy(grad_output.data(), grad_input.data());
 }
 

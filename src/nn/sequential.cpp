@@ -4,13 +4,12 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "tensor/ops.hpp"
-
 namespace skiptrain::nn {
 
 Sequential::Sequential(Sequential&& other) noexcept
     : layers_(std::move(other.layers_)),
       activations_(std::move(other.activations_)),
+      forward_shape_(std::move(other.forward_shape_)),
       owned_arena_(std::move(other.owned_arena_)),
       arena_(other.arena_),
       external_arena_(other.external_arena_) {
@@ -22,6 +21,7 @@ Sequential& Sequential::operator=(Sequential&& other) noexcept {
   if (this != &other) {
     layers_ = std::move(other.layers_);
     activations_ = std::move(other.activations_);
+    forward_shape_ = std::move(other.forward_shape_);
     owned_arena_ = std::move(other.owned_arena_);
     arena_ = other.arena_;
     external_arena_ = other.external_arena_;
@@ -94,32 +94,55 @@ const Tensor& Sequential::forward(const Tensor& input) {
   if (layers_.empty()) {
     throw std::logic_error("Sequential::forward: model has no layers");
   }
-  activations_.resize(layers_.size());
+  if (activations_.size() != layers_.size() ||
+      forward_shape_ != input.shape()) {
+    // New input shape (or a changed layer list): validate the chain and
+    // size every activation. Cleared first so a throw part-way leaves no
+    // stale match behind.
+    forward_shape_.clear();
+    activations_.resize(layers_.size());
+    const Shape* shape = &input.shape();
+    for (std::size_t i = 0; i < layers_.size(); ++i) {
+      Shape out_shape = layers_[i]->output_shape(*shape);
+      if (activations_[i].shape() != out_shape) {
+        activations_[i] = Tensor(std::move(out_shape));
+      }
+      shape = &activations_[i].shape();
+    }
+    forward_shape_ = input.shape();
+  }
   const Tensor* current = &input;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
-    const Shape out_shape = layers_[i]->output_shape(current->shape());
-    if (activations_[i].shape() != out_shape) {
-      activations_[i] = Tensor(out_shape);
-    }
     layers_[i]->forward(*current, activations_[i]);
     current = &activations_[i];
   }
   return activations_.back();
 }
 
+namespace {
+
+/// Intermediate input gradients of Sequential::backward, ping-ponging
+/// between the two tensors. Per thread rather than per model, so a fleet
+/// of thousands of replicas holds one pair per worker; backward never
+/// nests, and each call fully overwrites what it reads.
+thread_local Tensor t_grad_ping;
+thread_local Tensor t_grad_pong;
+
+}  // namespace
+
 void Sequential::backward(const Tensor& input, const Tensor& grad_logits) {
   assert(activations_.size() == layers_.size());
-  // Walk layers in reverse; grad buffers are allocated per call. The model
-  // sizes involved (10^3..10^5 floats) make this allocation negligible
-  // relative to the matrix math.
-  Tensor grad_out = Tensor(grad_logits.shape());
-  tensor::copy(grad_logits.data(), grad_out.data());
-
+  Tensor no_grad_input;  // layer 0's input gradient is never consumed
+  const Tensor* grad_out = &grad_logits;
   for (std::size_t i = layers_.size(); i-- > 0;) {
+    Tensor* grad_in = &no_grad_input;
+    if (i > 0) {
+      grad_in = (grad_out == &t_grad_ping) ? &t_grad_pong : &t_grad_ping;
+      grad_in->resize(activations_[i - 1].shape());
+    }
     const Tensor& layer_input = (i == 0) ? input : activations_[i - 1];
-    Tensor grad_in(layer_input.shape());
-    layers_[i]->backward(layer_input, grad_out, grad_in);
-    grad_out = std::move(grad_in);
+    layers_[i]->backward(layer_input, *grad_out, *grad_in);
+    grad_out = grad_in;
   }
 }
 

@@ -48,11 +48,16 @@ class Sequential {
   const Layer& layer(std::size_t i) const { return *layers_[i]; }
 
   /// Runs the forward pass and returns the final activation (logits).
-  /// Buffers are retained across calls and resized when the batch changes.
+  /// Buffers are retained across calls and re-derived (and the layer
+  /// shapes re-validated) only when the input shape changes, so a
+  /// steady-state call allocates nothing.
   const Tensor& forward(const Tensor& input);
 
   /// Backpropagates `grad_logits` through every layer, accumulating
   /// parameter gradients. Must follow a forward() on the same input.
+  /// Allocation-free in steady state: the intermediate gradients ping-pong
+  /// between two per-thread scratch tensors, and layer 0 gets an empty
+  /// grad_input (its input gradient is never needed; see Layer::backward).
   void backward(const Tensor& input, const Tensor& grad_logits);
 
   void zero_grad();
@@ -110,6 +115,7 @@ class Sequential {
 
   std::vector<std::unique_ptr<Layer>> layers_;
   std::vector<Tensor> activations_;  // activations_[i] = output of layer i
+  Shape forward_shape_;              // input shape activations_ fit
   std::vector<float> owned_arena_;   // empty when bound externally
   std::span<float> arena_;           // where the parameters actually live
   bool external_arena_ = false;

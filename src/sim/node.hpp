@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "data/dataset.hpp"
 #include "nn/optimizer.hpp"
@@ -43,10 +42,6 @@ class Node {
   nn::SgdOptimizer optimizer_;
   data::DatasetView data_;
   util::Rng rng_;
-  // Scratch buffers reused across rounds to avoid per-step allocation.
-  tensor::Tensor batch_features_;
-  std::vector<std::int32_t> batch_labels_;
-  tensor::Tensor grad_logits_;
 };
 
 }  // namespace skiptrain::sim

@@ -1,10 +1,16 @@
 // Blocked, packed GEMM kernels (see gemm.hpp for the bit-identity
 // contract). The public gemm_nn/gemm_nt/gemm_tn entry points of
-// tensor/ops.hpp dispatch between the seed reference loops (tiny shapes,
-// degenerate dims) and the blocked kernels below; both produce bitwise
-// identical C, so the dispatch threshold is a pure performance knob.
+// tensor/ops.hpp dispatch between three kernel families, all bitwise
+// identical to the seed reference loops, so every dispatch threshold is a
+// pure performance knob:
 //
-// Kernel structure: B panels and A blocks are both repacked into
+//   * register-row kernels for gemm_nn / gemm_tn at the compact-MLP
+//     shapes (k, n <= kRowMax): no packing, one C row held in locals
+//     across the whole k extent;
+//   * the seed reference loops for other tiny or degenerate shapes;
+//   * the blocked kernels below for everything large.
+//
+// Blocked kernel structure: B panels and A blocks are both repacked into
 // register-tile-wide slivers (kNR and kMR contiguous strips per k step),
 // so the microkernel inner loops are pure unit-stride vector code. The
 // reference loops' skip-zero-multiplier branch is honored by scanning
@@ -13,6 +19,14 @@
 // branch-free microkernel, slivers holding zeros (e.g. post-ReLU
 // gradients in gemm_tn) run a blend microkernel whose
 // `acc = av == 0 ? acc : acc + av*b` select reproduces the skip bitwise.
+//
+// ISA clones: the three entry points are compiled once per target in
+// SKIPTRAIN_GEMM_CLONES and picked at load time. Every kernel they call
+// is always_inline, so each clone carries its own copy of the kernels.
+// The kernels are per-element `acc += a * b` chains with no
+// reassociation, and this TU is built with -ffp-contract=off (see
+// CMakeLists.txt), so the wider clone changes lane width only, never a
+// bit of C. fma is deliberately absent from the clone list.
 #include "tensor/gemm.hpp"
 
 #include <algorithm>
@@ -29,6 +43,16 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
+#endif
+
+// Same guard as the quant codec kernels: GCC on x86-64 ELF emits the
+// IFUNC dispatch; ASan builds and other toolchains get the single
+// baseline build of the same source.
+#if defined(__x86_64__) && defined(__ELF__) && defined(__GNUC__) && \
+    !defined(__clang__) && !defined(__SANITIZE_ADDRESS__)
+#define SKIPTRAIN_GEMM_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define SKIPTRAIN_GEMM_CLONES
 #endif
 
 namespace skiptrain::tensor {
@@ -173,9 +197,9 @@ thread_local PackScratch t_scratch;
 
 /// Packs `depth` rows x nc columns of row-major storage starting at src
 /// (row stride ld) into kNR-column slivers.
-void pack_b_slivers(const float* __restrict__ src, std::size_t ld,
-                    std::size_t depth, std::size_t nc,
-                    float* __restrict__ dst) {
+[[gnu::always_inline]] inline void pack_b_slivers(
+    const float* __restrict__ src, std::size_t ld, std::size_t depth,
+    std::size_t nc, float* __restrict__ dst) {
   for (std::size_t j0 = 0; j0 < nc; j0 += kNR) {
     const std::size_t w = std::min(kNR, nc - j0);
     float* __restrict__ out = dst + (j0 / kNR) * depth * kNR;
@@ -195,9 +219,10 @@ void pack_b_slivers(const float* __restrict__ src, std::size_t ld,
 /// Packs A[ic..ic+mc, pc..pc+kc] of a row-major [m, k] matrix (lda == k)
 /// into kMR-row slivers, recording per sliver whether it holds any exact
 /// zero (selects the skip-preserving microkernel).
-void pack_a_rows(const float* __restrict__ a, std::size_t lda, std::size_t ic,
-                 std::size_t pc, std::size_t mc, std::size_t kc,
-                 float* __restrict__ dst, std::uint8_t* __restrict__ zeros) {
+[[gnu::always_inline]] inline void pack_a_rows(
+    const float* __restrict__ a, std::size_t lda, std::size_t ic,
+    std::size_t pc, std::size_t mc, std::size_t kc, float* __restrict__ dst,
+    std::uint8_t* __restrict__ zeros) {
   for (std::size_t i0 = 0; i0 < mc; i0 += kMR) {
     const std::size_t w = std::min(kMR, mc - i0);
     float* __restrict__ out = dst + (i0 / kMR) * kc * kMR;
@@ -217,9 +242,10 @@ void pack_a_rows(const float* __restrict__ a, std::size_t lda, std::size_t ic,
 
 /// Packs A[pc..pc+kc, ic..ic+mc] of a row-major [k, m] matrix (lda == m —
 /// the gemm_tn layout) into kMR-row slivers with zero flags.
-void pack_a_cols(const float* __restrict__ a, std::size_t lda, std::size_t ic,
-                 std::size_t pc, std::size_t mc, std::size_t kc,
-                 float* __restrict__ dst, std::uint8_t* __restrict__ zeros) {
+[[gnu::always_inline]] inline void pack_a_cols(
+    const float* __restrict__ a, std::size_t lda, std::size_t ic,
+    std::size_t pc, std::size_t mc, std::size_t kc, float* __restrict__ dst,
+    std::uint8_t* __restrict__ zeros) {
   for (std::size_t i0 = 0; i0 < mc; i0 += kMR) {
     const std::size_t w = std::min(kMR, mc - i0);
     float* __restrict__ out = dst + (i0 / kMR) * kc * kMR;
@@ -243,9 +269,10 @@ void pack_a_cols(const float* __restrict__ a, std::size_t lda, std::size_t ic,
 // ---------------------------------------------------------------------------
 
 template <bool kFull>
-void load_c_tile(float (&acc)[kMR][kNR], std::size_t mr, std::size_t nr,
-                 const float* __restrict__ c, std::size_t ldc, float beta,
-                 bool first_block) {
+[[gnu::always_inline]] inline void load_c_tile(
+    float (&acc)[kMR][kNR], std::size_t mr, std::size_t nr,
+    const float* __restrict__ c, std::size_t ldc, float beta,
+    bool first_block) {
   const std::size_t rows = kFull ? kMR : mr;
   const std::size_t cols = kFull ? kNR : nr;
   if (!first_block || beta == 1.0f) {
@@ -265,8 +292,9 @@ void load_c_tile(float (&acc)[kMR][kNR], std::size_t mr, std::size_t nr,
 }
 
 template <bool kFull>
-void store_c_tile(const float (&acc)[kMR][kNR], std::size_t mr, std::size_t nr,
-                  float* __restrict__ c, std::size_t ldc) {
+[[gnu::always_inline]] inline void store_c_tile(
+    const float (&acc)[kMR][kNR], std::size_t mr, std::size_t nr,
+    float* __restrict__ c, std::size_t ldc) {
   const std::size_t rows = kFull ? kMR : mr;
   const std::size_t cols = kFull ? kNR : nr;
   for (std::size_t r = 0; r < rows; ++r) {
@@ -277,9 +305,9 @@ void store_c_tile(const float (&acc)[kMR][kNR], std::size_t mr, std::size_t nr,
 /// C-accumulating tile for gemm_nn / gemm_tn, zero-free A sliver: the
 /// reference skip branch can never fire, so the plain fused loop is
 /// bitwise identical and fully vectorizable.
-void micro_cacc_fast(std::size_t kc, const float* __restrict__ ap,
-                     const float* __restrict__ bp, float* __restrict__ c,
-                     std::size_t ldc, float beta, bool first_block) {
+[[gnu::always_inline]] inline void micro_cacc_fast(
+    std::size_t kc, const float* __restrict__ ap, const float* __restrict__ bp,
+    float* __restrict__ c, std::size_t ldc, float beta, bool first_block) {
   float acc[kMR][kNR];
   load_c_tile<true>(acc, kMR, kNR, c, ldc, beta, first_block);
   for (std::size_t p = 0; p < kc; ++p) {
@@ -298,10 +326,10 @@ void micro_cacc_fast(std::size_t kc, const float* __restrict__ ap,
 /// bitwise the reference's skip (an av of exactly zero contributes not
 /// even a sign flip), and if-converts to a vector blend.
 template <bool kFull>
-void micro_cacc_guard(std::size_t mr, std::size_t nr, std::size_t kc,
-                      const float* __restrict__ ap,
-                      const float* __restrict__ bp, float* __restrict__ c,
-                      std::size_t ldc, float beta, bool first_block) {
+[[gnu::always_inline]] inline void micro_cacc_guard(
+    std::size_t mr, std::size_t nr, std::size_t kc,
+    const float* __restrict__ ap, const float* __restrict__ bp,
+    float* __restrict__ c, std::size_t ldc, float beta, bool first_block) {
   const std::size_t rows = kFull ? kMR : mr;
   const std::size_t cols = kFull ? kNR : nr;
   float acc[kMR][kNR];
@@ -323,9 +351,10 @@ void micro_cacc_guard(std::size_t mr, std::size_t nr, std::size_t kc,
 /// extent (p ascending — the reference op sequence), combined with beta
 /// only at the end. No zero skip: the reference dot loop has none.
 template <bool kFull>
-void micro_nt(std::size_t mr, std::size_t nr, std::size_t k,
-              const float* __restrict__ ap, const float* __restrict__ bp,
-              float* __restrict__ c, std::size_t ldc, float beta) {
+[[gnu::always_inline]] inline void micro_nt(
+    std::size_t mr, std::size_t nr, std::size_t k, const float* __restrict__ ap,
+    const float* __restrict__ bp, float* __restrict__ c, std::size_t ldc,
+    float beta) {
   const std::size_t rows = kFull ? kMR : mr;
   const std::size_t cols = kFull ? kNR : nr;
   float acc[kMR][kNR] = {};
@@ -355,9 +384,9 @@ void micro_nt(std::size_t mr, std::size_t nr, std::size_t k,
 /// Shared driver for the two C-accumulating variants; PackA packs the
 /// (ic, pc, mc, kc) block of A into slivers + zero flags.
 template <typename PackA>
-void gemm_cacc_blocked(std::size_t m, std::size_t k, std::size_t n,
-                       std::span<const float> b, std::span<float> c,
-                       float beta, PackA&& pack_a) {
+[[gnu::always_inline]] inline void gemm_cacc_blocked(
+    std::size_t m, std::size_t k, std::size_t n, std::span<const float> b,
+    std::span<float> c, float beta, PackA&& pack_a) {
   const GemmTuning& tun = gemm_tuning();
   float* bp = t_scratch.b.ensure_floats(tun.kc * (tun.nc + kNR));
   float* ap = t_scratch.a.ensure_floats(tun.kc * (tun.mc + kMR));
@@ -399,9 +428,9 @@ void gemm_cacc_blocked(std::size_t m, std::size_t k, std::size_t n,
   }
 }
 
-void gemm_nt_blocked(std::size_t m, std::size_t k, std::size_t n,
-                     std::span<const float> a, std::span<const float> b,
-                     std::span<float> c, float beta) {
+[[gnu::always_inline]] inline void gemm_nt_blocked(
+    std::size_t m, std::size_t k, std::size_t n, std::span<const float> a,
+    std::span<const float> b, std::span<float> c, float beta) {
   // The dot accumulators must span the whole k extent (the reference keeps
   // one register accumulator per element), so k is not blocked; instead
   // both operands are repacked per panel — B transposed into kNR slivers,
@@ -452,6 +481,108 @@ void gemm_nt_blocked(std::size_t m, std::size_t k, std::size_t n,
 /// knob.
 constexpr std::size_t kBlockedMinVolume = 32 * 1024;
 
+// ---------------------------------------------------------------------------
+// Register-row kernels: the compact-MLP shapes (k, n <= kRowMax)
+//
+// At 32x16x64 the packing and tile dispatch of the blocked path cost more
+// than the multiply-adds. These kernels pack nothing: the i loop is
+// outermost and one C row lives in locals across the whole k extent — the
+// first kNV * kLanes columns in a fixed-size array the compiler keeps in
+// vector registers (eight AVX2 registers at n = 64), the n % kLanes tail
+// columns in a small array beside it. Each element sees exactly the
+// reference's op sequence. gemm_nt keeps the blocked path: its reference
+// is a dot product per element, so a row kernel would first have to
+// transpose B, and measured end to end that gains nothing.
+// ---------------------------------------------------------------------------
+
+/// Widest row and deepest k the register-row kernels take.
+constexpr std::size_t kRowMax = 64;
+/// Columns per vector register on the widest clone (AVX2: 8 floats).
+constexpr std::size_t kLanes = 8;
+
+// Full unrolling of the fixed-width column loops is what lets the row
+// accumulators live in registers rather than on the stack.
+#if defined(__clang__)
+#define SKIPTRAIN_UNROLL_ROW _Pragma("unroll")
+#else
+#define SKIPTRAIN_UNROLL_ROW _Pragma("GCC unroll 64")
+#endif
+
+/// gemm_nn / gemm_tn for n in [kNV * kLanes, kNV * kLanes + kLanes):
+/// multiplier A(i, p) = a[i * a_row + p * a_step] (nn: a_row = k,
+/// a_step = 1; tn: a_row = 1, a_step = m), B row p at b + p * n. Beta is
+/// applied first, then p ascends with `acc += a * b`. A zero multiplier
+/// skips its B row entirely: the nonzero multipliers of a row are
+/// compacted up front, so the work shrinks with post-ReLU sparsity and
+/// no branch is mispredicted per p.
+template <std::size_t kNV>
+[[gnu::always_inline]] inline void gemm_row_kernel(
+    std::size_t m, std::size_t k, std::size_t n, const float* __restrict__ a,
+    std::size_t a_row, std::size_t a_step, const float* __restrict__ b,
+    float* __restrict__ c, float beta) {
+  constexpr std::size_t kW = kNV * kLanes;
+  const std::size_t tail = n - kW;
+  const float* brows[kRowMax];
+  float mults[kRowMax];
+  for (std::size_t i = 0; i < m; ++i) {
+    float* __restrict__ ci = c + i * n;
+    float acc[kW > 0 ? kW : 1];
+    float acc_tail[kLanes];
+    if (beta == 0.0f) {
+      SKIPTRAIN_UNROLL_ROW
+      for (std::size_t j = 0; j < kW; ++j) acc[j] = 0.0f;
+      for (std::size_t j = 0; j < tail; ++j) acc_tail[j] = 0.0f;
+    } else if (beta == 1.0f) {
+      SKIPTRAIN_UNROLL_ROW
+      for (std::size_t j = 0; j < kW; ++j) acc[j] = ci[j];
+      for (std::size_t j = 0; j < tail; ++j) acc_tail[j] = ci[kW + j];
+    } else {
+      SKIPTRAIN_UNROLL_ROW
+      for (std::size_t j = 0; j < kW; ++j) acc[j] = ci[j] * beta;
+      for (std::size_t j = 0; j < tail; ++j) acc_tail[j] = ci[kW + j] * beta;
+    }
+    const float* __restrict__ ai = a + i * a_row;
+    std::size_t count = 0;
+    for (std::size_t p = 0; p < k; ++p) {
+      const float av = ai[p * a_step];
+      brows[count] = b + p * n;
+      mults[count] = av;
+      count += av != 0.0f ? 1 : 0;
+    }
+    for (std::size_t q = 0; q < count; ++q) {
+      const float av = mults[q];
+      const float* __restrict__ bp = brows[q];
+      SKIPTRAIN_UNROLL_ROW
+      for (std::size_t j = 0; j < kW; ++j) acc[j] += av * bp[j];
+      for (std::size_t j = 0; j < tail; ++j) acc_tail[j] += av * bp[kW + j];
+    }
+    SKIPTRAIN_UNROLL_ROW
+    for (std::size_t j = 0; j < kW; ++j) ci[j] = acc[j];
+    for (std::size_t j = 0; j < tail; ++j) ci[kW + j] = acc_tail[j];
+  }
+}
+
+/// Runs the gemm_row_kernel instance whose register width covers n
+/// (kNV = n / kLanes, found by compile-time recursion).
+template <std::size_t kNV = 0>
+[[gnu::always_inline]] inline void gemm_rows(
+    std::size_t m, std::size_t k, std::size_t n, const float* a,
+    std::size_t a_row, std::size_t a_step, const float* b, float* c,
+    float beta) {
+  if constexpr (kNV < kRowMax / kLanes) {
+    if (n / kLanes != kNV) {
+      gemm_rows<kNV + 1>(m, k, n, a, a_row, a_step, b, c, beta);
+      return;
+    }
+  }
+  gemm_row_kernel<kNV>(m, k, n, a, a_row, a_step, b, c, beta);
+}
+
+/// True when (k, n) fits the register-row kernels.
+constexpr bool fits_rows(std::size_t k, std::size_t n) {
+  return k <= kRowMax && n <= kRowMax;
+}
+
 }  // namespace
 
 const GemmTuning& gemm_tuning() {
@@ -476,13 +607,18 @@ void note_gemm(std::size_t m, std::size_t k, std::size_t n) {
 
 }  // namespace
 
+SKIPTRAIN_GEMM_CLONES
 void gemm_nn(std::size_t m, std::size_t k, std::size_t n,
              std::span<const float> a, std::span<const float> b,
              std::span<float> c, float beta) {
   assert(a.size() >= m * k && b.size() >= k * n && c.size() >= m * n);
   note_gemm(m, k, n);
-  // k == 0 must still apply beta to C — the reference handles it.
-  if (k == 0 || n < 8 || m * k * n < kBlockedMinVolume) {
+  // k == 0 must still apply beta to C — both small paths handle it.
+  if (fits_rows(k, n)) {
+    gemm_rows(m, k, n, a.data(), k, 1, b.data(), c.data(), beta);
+    return;
+  }
+  if (n < 8 || m * k * n < kBlockedMinVolume) {
     gemm_nn_ref(m, k, n, a, b, c, beta);
     return;
   }
@@ -494,6 +630,7 @@ void gemm_nn(std::size_t m, std::size_t k, std::size_t n,
       });
 }
 
+SKIPTRAIN_GEMM_CLONES
 void gemm_nt(std::size_t m, std::size_t k, std::size_t n,
              std::span<const float> a, std::span<const float> b,
              std::span<float> c, float beta) {
@@ -506,12 +643,17 @@ void gemm_nt(std::size_t m, std::size_t k, std::size_t n,
   gemm_nt_blocked(m, k, n, a, b, c, beta);
 }
 
+SKIPTRAIN_GEMM_CLONES
 void gemm_tn(std::size_t m, std::size_t k, std::size_t n,
              std::span<const float> a, std::span<const float> b,
              std::span<float> c, float beta) {
   assert(a.size() >= k * m && b.size() >= k * n && c.size() >= m * n);
   note_gemm(m, k, n);
-  if (k == 0 || n < 8 || m * k * n < kBlockedMinVolume) {
+  if (fits_rows(k, n)) {
+    gemm_rows(m, k, n, a.data(), 1, m, b.data(), c.data(), beta);
+    return;
+  }
+  if (n < 8 || m * k * n < kBlockedMinVolume) {
     gemm_tn_ref(m, k, n, a, b, c, beta);
     return;
   }

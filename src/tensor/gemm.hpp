@@ -25,7 +25,10 @@
 // What the blocked kernels add is purely locality and ILP: B panels are
 // packed into dense aligned scratch sized from L1/L2 (measured once at
 // startup), the microkernel holds a 4x8 register tile, and restrict-
-// qualified unit-stride inner loops let the compiler vectorize.
+// qualified unit-stride inner loops let the compiler vectorize. gemm_nn
+// and gemm_tn at k, n <= 64 (the compact MLPs every sweep trains) skip
+// packing and run register-row kernels under the same per-element
+// discipline; see gemm.cpp.
 #pragma once
 
 #include <cstddef>
@@ -47,7 +50,8 @@ struct GemmTuning {
 
 // ---------------------------------------------------------------------------
 // Reference kernels: the seed loops, kept for verification and as the
-// small-shape fallback. Signatures mirror tensor/ops.hpp.
+// fallback for tiny shapes outside the register-row path. Signatures
+// mirror tensor/ops.hpp.
 // ---------------------------------------------------------------------------
 
 /// C[m,n] = A[m,k] * B[k,n] + beta * C  (seed i-k-j loop)

@@ -58,7 +58,8 @@ void subtract(std::span<const float> a, std::span<const float> b,
 // ---------------------------------------------------------------------------
 // Level-3: matrix multiplication
 //
-// Implemented as cache-blocked, packing kernels (tensor/gemm.cpp) that are
+// Implemented as cache-blocked, packing kernels plus no-pack register-row
+// kernels for small gemm_nn / gemm_tn shapes (tensor/gemm.cpp), all
 // bitwise identical to the seed triple loops, which tensor/gemm.hpp
 // retains as gemm_*_ref verification oracles.
 // ---------------------------------------------------------------------------

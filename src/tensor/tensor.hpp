@@ -54,6 +54,11 @@ class Tensor {
   /// Reinterprets the tensor with a new shape of identical element count.
   void reshape(Shape new_shape);
 
+  /// Re-shapes a reused scratch tensor to `shape`, keeping its storage:
+  /// no allocation once capacity covers the element count. Element
+  /// values are unspecified afterwards — callers overwrite them.
+  void resize(const Shape& shape);
+
  private:
   Shape shape_;
   std::vector<float> data_;

@@ -1,14 +1,15 @@
-// Bit-identity of the blocked GEMM kernels against the retained seed
-// loops (gemm_*_ref). The contract is exact: for every input — including
-// degenerate dims, non-square panels, every beta case, zero-heavy A (the
-// skip-zero branch), and NaN-poisoned C with beta == 0 — the blocked
-// kernels must produce bitwise identical C.
+// Bit-identity of the blocked and register-row GEMM kernels against the
+// retained seed loops (gemm_*_ref). The contract is exact: for every
+// input — including degenerate dims, non-square panels, every beta case,
+// zero-heavy A (the skip-zero branch), and NaN-poisoned C with beta == 0
+// — the fast kernels must produce bitwise identical C.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -146,6 +147,65 @@ TEST(GemmBlocked, BetaZeroNeverReadsCAnyVariantAnyPath) {
     std::fill(c.begin(), c.end(), nan);
     gemm_tn_ref(m, k, n, a, b, c, 0.0f);
     for (const float v : c) ASSERT_FALSE(std::isnan(v)) << "gemm_tn_ref";
+  }
+}
+
+// Every GEMM of one SGD step of the compact MLPs the sweep presets train
+// (64->32->10 CIFAR, 64->48->62 FEMNIST), at the paper batch (16) and
+// the large_fleet batch (4). Each Linear(in -> out) at batch B runs
+//   forward  gemm_nt(B, in, out)   x . W^T
+//   dW       gemm_tn(out, B, in)   dY^T . x
+//   dX       gemm_nn(B, out, in)   dY . W
+// These take the register-row kernels; they must stay bitwise the
+// reference for every zero share of the multiplier operand A (post-ReLU
+// gradients are ~45% zeros), for beta 0 and 1, and must never read C at
+// beta 0.
+TEST(GemmSmall, CompactMlpShapesMatchReferenceBitwise) {
+  struct LinearShape {
+    std::size_t in, out;
+  };
+  const LinearShape layers[] = {{64, 32}, {32, 10}, {64, 48}, {48, 62}};
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  using Gemm = void (*)(std::size_t, std::size_t, std::size_t,
+                        std::span<const float>, std::span<const float>,
+                        std::span<float>, float);
+  struct Variant {
+    const char* name;
+    Gemm fast, ref;
+  };
+  const Variant variants[] = {{"gemm_nt", gemm_nt, gemm_nt_ref},
+                              {"gemm_tn", gemm_tn, gemm_tn_ref},
+                              {"gemm_nn", gemm_nn, gemm_nn_ref}};
+  std::uint64_t seed = 77;
+  for (const std::size_t batch : {std::size_t{16}, std::size_t{4}}) {
+    for (const LinearShape& layer : layers) {
+      const std::tuple<std::size_t, std::size_t, std::size_t> dims[] = {
+          {batch, layer.in, layer.out},
+          {layer.out, batch, layer.in},
+          {batch, layer.out, layer.in}};
+      for (std::size_t v = 0; v < 3; ++v) {
+        const auto [m, k, n] = dims[v];
+        for (const double zero_share : {0.0, 0.45, 1.0}) {
+          util::Rng rng(++seed);
+          std::vector<float> a(m * k), b(k * n), c_init(m * n);
+          rng.fill_normal(a, 0.0f, 1.0f);
+          rng.fill_normal(b, 0.0f, 1.0f);
+          rng.fill_normal(c_init, 0.0f, 1.0f);
+          for (float& x : a) {
+            if (rng.uniform() < zero_share) x = 0.0f;
+          }
+          for (const float beta : {0.0f, 1.0f}) {
+            std::vector<float> c = c_init, ref = c_init;
+            if (beta == 0.0f) std::fill(c.begin(), c.end(), nan);
+            variants[v].fast(m, k, n, a, b, c, beta);
+            variants[v].ref(m, k, n, a, b, ref, beta);
+            SCOPED_TRACE(::testing::Message()
+                         << "batch=" << batch << " zero_share=" << zero_share);
+            expect_bitwise_equal(c, ref, variants[v].name, m, k, n, beta);
+          }
+        }
+      }
+    }
   }
 }
 

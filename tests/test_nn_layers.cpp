@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 
 #include "nn/activations.hpp"
@@ -332,6 +335,162 @@ TEST(SequentialTest, SummaryMentionsLayersAndTotal) {
   const std::string summary = model.summary();
   EXPECT_NE(summary.find("Linear(4->8)"), std::string::npos);
   EXPECT_NE(summary.find("total parameters"), std::string::npos);
+}
+
+// --- empty grad_input contract ----------------------------------------------
+
+/// Parameter gradients of `proto` after one backward through a fresh
+/// clone. With `grad_in` null the layer gets an empty grad_input;
+/// otherwise the input gradient lands in a NaN-poisoned reused buffer.
+std::vector<float> backward_grads(const Layer& proto, const Tensor& input,
+                                  const Tensor& grad_out, Tensor* grad_in) {
+  std::unique_ptr<Layer> layer = proto.clone();
+  Tensor output(layer->output_shape(input.shape()));
+  layer->forward(input, output);
+  layer->zero_grad();
+  Tensor none;
+  if (grad_in != nullptr) {
+    *grad_in = Tensor(input.shape());
+    grad_in->fill(std::numeric_limits<float>::quiet_NaN());
+  }
+  layer->backward(input, grad_out, grad_in != nullptr ? *grad_in : none);
+  EXPECT_TRUE(none.empty()) << proto.name() << " wrote an empty grad_input";
+  const auto grads = layer->gradients();
+  return {grads.begin(), grads.end()};
+}
+
+std::vector<std::uint32_t> bits(std::span<const float> values) {
+  std::vector<std::uint32_t> out;
+  for (const float v : values) out.push_back(std::bit_cast<std::uint32_t>(v));
+  return out;
+}
+
+TEST(EmptyGradInput, EveryLayerKeepsParameterGradientsBitwise) {
+  auto conv_direct = std::make_unique<Conv2d>(3, 4, 3, 1, 1);
+  conv_direct->set_algorithm(Conv2dAlgo::kDirect);
+  struct Case {
+    std::unique_ptr<Layer> layer;
+    Shape input_shape;
+  };
+  std::vector<Case> cases;
+  cases.push_back({std::make_unique<Linear>(6, 5), {4, 6}});
+  cases.push_back({std::make_unique<ReLU>(), {4, 6}});
+  cases.push_back({std::make_unique<Tanh>(), {4, 6}});
+  cases.push_back({std::make_unique<GroupNorm>(2, 4), {2, 4, 3, 3}});
+  cases.push_back({std::make_unique<MaxPool2d>(2), {2, 3, 4, 4}});
+  cases.push_back({std::make_unique<Flatten>(), {2, 3, 2, 2}});
+  cases.push_back({std::make_unique<Conv2d>(3, 4, 3, 1, 1), {2, 3, 5, 5}});
+  cases.push_back({std::move(conv_direct), {2, 3, 5, 5}});
+
+  util::Rng rng(21);
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.layer->name());
+    if (!c.layer->parameters().empty()) {
+      rng.fill_normal(c.layer->parameters(), 0.0f, 0.5f);
+    }
+    Tensor input(c.input_shape);
+    rng.fill_normal(input.data(), 0.0f, 1.0f);
+    Tensor grad_out(c.layer->output_shape(input.shape()));
+    rng.fill_normal(grad_out.data(), 0.0f, 1.0f);
+    // Post-ReLU-like zeros exercise the skip branches.
+    for (std::size_t i = 0; i < grad_out.numel(); i += 3) grad_out.at(i) = 0.0f;
+
+    Tensor grad_in_full;
+    const std::vector<float> full =
+        backward_grads(*c.layer, input, grad_out, &grad_in_full);
+    const std::vector<float> skipped =
+        backward_grads(*c.layer, input, grad_out, nullptr);
+    EXPECT_EQ(bits(full), bits(skipped));
+    // A reused (NaN-poisoned) buffer is fully overwritten.
+    for (const float v : grad_in_full.data()) ASSERT_FALSE(std::isnan(v));
+  }
+}
+
+/// Identity layer that records whether backward handed it an input
+/// gradient to fill.
+class ProbeLayer final : public Layer {
+ public:
+  explicit ProbeLayer(std::vector<bool>* got_grad_input)
+      : got_(got_grad_input) {}
+  std::string name() const override { return "Probe"; }
+  Shape output_shape(const Shape& input_shape) const override {
+    return input_shape;
+  }
+  void forward(const Tensor& input, Tensor& output) override {
+    std::copy(input.data().begin(), input.data().end(), output.data().begin());
+  }
+  void backward(const Tensor&, const Tensor& grad_output,
+                Tensor& grad_input) override {
+    got_->push_back(!grad_input.empty());
+    if (grad_input.empty()) return;
+    std::copy(grad_output.data().begin(), grad_output.data().end(),
+              grad_input.data().begin());
+  }
+  std::unique_ptr<Layer> clone() const override {
+    return std::make_unique<ProbeLayer>(got_);
+  }
+
+ private:
+  std::vector<bool>* got_;
+};
+
+TEST(SequentialTest, BackwardNeverRequestsLayerZeroInputGradient) {
+  std::vector<bool> first, middle;
+  Sequential model;
+  model.emplace<ProbeLayer>(&first);
+  model.emplace<Linear>(4, 5);
+  model.emplace<ProbeLayer>(&middle);
+  model.emplace<Linear>(5, 3);
+  util::Rng rng(8);
+  initialize(model, rng);
+  Tensor input({2, 4});
+  rng.fill_normal(input.data(), 0.0f, 1.0f);
+  Tensor grad_logits({2, 3});
+  rng.fill_normal(grad_logits.data(), 0.0f, 1.0f);
+  for (int step = 0; step < 2; ++step) {
+    (void)model.forward(input);
+    model.backward(input, grad_logits);
+  }
+  EXPECT_EQ(first, (std::vector<bool>{false, false}));
+  EXPECT_EQ(middle, (std::vector<bool>{true, true}));
+
+  // With a Linear at layer 0 the model's gradients match the same layers
+  // driven by hand with a full (discarded) input gradient.
+  Sequential mlp = make_mlp(4, {5}, 3);
+  initialize(mlp, rng);
+  Sequential by_hand = mlp.clone();
+  mlp.zero_grad();
+  (void)mlp.forward(input);
+  mlp.backward(input, grad_logits);
+
+  by_hand.zero_grad();
+  std::vector<Tensor> acts(by_hand.num_layers() + 1);
+  acts[0] = input;
+  for (std::size_t i = 0; i < by_hand.num_layers(); ++i) {
+    acts[i + 1] = Tensor(by_hand.layer(i).output_shape(acts[i].shape()));
+    by_hand.layer(i).forward(acts[i], acts[i + 1]);
+  }
+  Tensor grad = grad_logits;
+  for (std::size_t i = by_hand.num_layers(); i-- > 0;) {
+    Tensor grad_in(acts[i].shape());
+    by_hand.layer(i).backward(acts[i], grad, grad_in);
+    grad = std::move(grad_in);
+  }
+  std::vector<float> got(mlp.num_parameters()), want(mlp.num_parameters());
+  mlp.get_gradients(got);
+  by_hand.get_gradients(want);
+  EXPECT_EQ(bits(got), bits(want));
+}
+
+TEST(SequentialTest, ForwardRevalidatesWhenInputShapeChanges) {
+  Sequential model = make_mlp(4, {5}, 3);
+  util::Rng rng(3);
+  initialize(model, rng);
+  EXPECT_EQ(model.forward(Tensor({2, 4})).shape(), (Shape{2, 3}));
+  EXPECT_EQ(model.forward(Tensor({7, 4})).shape(), (Shape{7, 3}));
+  EXPECT_THROW((void)model.forward(Tensor({7, 5})), std::invalid_argument);
+  // A failed call leaves no stale cache: the good shape still works.
+  EXPECT_EQ(model.forward(Tensor({7, 4})).shape(), (Shape{7, 3}));
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 // End-to-end single-model training: the nn substrate must actually learn.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "nn/init.hpp"
@@ -217,6 +220,43 @@ TEST(Loss, PerfectPredictionLowLoss) {
   const LossResult result = softmax_cross_entropy_eval(logits, labels);
   EXPECT_LT(result.loss, 1e-6);
   EXPECT_DOUBLE_EQ(result.accuracy, 1.0);
+}
+
+TEST(Loss, BadLabelsAreCheckedErrorsInEveryBuildType) {
+  // Plain EXPECT_THROW, no death test: the check must not be an assert,
+  // so the Release build the suite runs in must reject these too.
+  tensor::Tensor logits({3, 4});
+  tensor::Tensor grad({3, 4});
+  const auto message = [&](std::span<const std::int32_t> labels,
+                           bool with_grad) -> std::string {
+    try {
+      if (with_grad) {
+        (void)softmax_cross_entropy(logits, labels, grad);
+      } else {
+        (void)softmax_cross_entropy_eval(logits, labels);
+      }
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  for (const bool with_grad : {true, false}) {
+    const std::string high = message(std::vector<std::int32_t>{0, 4, 1},
+                                     with_grad);
+    EXPECT_NE(high.find("row 1"), std::string::npos) << high;
+    EXPECT_NE(high.find("label 4"), std::string::npos) << high;
+    EXPECT_NE(high.find("[0, 4)"), std::string::npos) << high;
+    const std::string negative =
+        message(std::vector<std::int32_t>{0, 1, -1}, with_grad);
+    EXPECT_NE(negative.find("row 2"), std::string::npos) << negative;
+    EXPECT_NE(negative.find("label -1"), std::string::npos) << negative;
+    EXPECT_NE(message(std::vector<std::int32_t>{0, 1}, with_grad), "");
+    EXPECT_EQ(message(std::vector<std::int32_t>{0, 3, 2}, with_grad), "");
+  }
+  tensor::Tensor wrong_grad({3, 5});
+  const std::vector<std::int32_t> labels{0, 1, 2};
+  EXPECT_THROW((void)softmax_cross_entropy(logits, labels, wrong_grad),
+               std::invalid_argument);
 }
 
 }  // namespace
