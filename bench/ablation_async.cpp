@@ -53,9 +53,7 @@ int main(int argc, char** argv) {
 
   const metrics::Evaluator evaluator(&wb.data.test, base.eval_max_samples);
   const auto fleet_accuracy = [&](auto& engine) {
-    std::vector<nn::Sequential*> models(n);
-    for (std::size_t i = 0; i < n; ++i) models[i] = &engine.model(i);
-    return evaluator.evaluate_fleet(models).accuracy.mean;
+    return evaluator.evaluate_fleet(wb.model, engine.node_parameters()).accuracy.mean;
   };
 
   // --- Synchronous: every round waits for the slowest trainer. ---

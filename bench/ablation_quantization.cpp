@@ -70,9 +70,7 @@ int main(int argc, char** argv) {
                             std::move(accountant), config);
     engine.run_rounds(base.total_rounds);
 
-    std::vector<nn::Sequential*> models(n);
-    for (std::size_t i = 0; i < n; ++i) models[i] = &engine.model(i);
-    const double acc = evaluator.evaluate_fleet(models).accuracy.mean;
+    const double acc = evaluator.evaluate_fleet(wb.model, engine.node_parameters()).accuracy.mean;
 
     const double bpp = quant::wire_bytes_per_param(variant.codec);
     const double mask_fraction =

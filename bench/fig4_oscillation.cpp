@@ -50,9 +50,6 @@ int main(int argc, char** argv) {
                           std::move(accountant), config);
 
   const metrics::Evaluator evaluator(&wb.data.test, base.eval_max_samples);
-  std::vector<nn::Sequential*> models(n);
-  for (std::size_t i = 0; i < n; ++i) models[i] = &engine.model(i);
-
   const std::size_t warmup = base.total_rounds > tail
                                  ? base.total_rounds - tail
                                  : 0;
@@ -63,7 +60,7 @@ int main(int argc, char** argv) {
   util::TablePrinter table({"round", "kind", "acc mean%", "acc std%"});
   for (std::size_t t = warmup + 1; t <= base.total_rounds; ++t) {
     const auto outcome = engine.run_round();
-    const auto eval = evaluator.evaluate_fleet(models);
+    const auto eval = evaluator.evaluate_fleet(wb.model, engine.node_parameters());
     const char* kind =
         outcome.kind == core::RoundKind::kTraining ? "train" : "sync";
     table.add_row({std::to_string(t), kind,

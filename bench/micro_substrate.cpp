@@ -621,9 +621,13 @@ void BM_LocalSgdStep(benchmark::State& state) {
   auto model = nn::make_compact_cifar_model(config.feature_dim);
   util::Rng rng(3);
   nn::initialize(model, rng);
-  sim::Node node(0, model, dataset.node_view(0), nn::SgdOptions{0.1f}, 7);
+  // One node trained through a model shell attached to its plane row, as
+  // the engines run it.
+  plane::RowArena row(1, model.num_parameters());
+  model.bind_parameter_arena(row.row(0));
+  sim::Node node(0, dataset.node_view(0), 7);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(node.train_local(1, 16));
+    benchmark::DoNotOptimize(node.train_local(model, 1, 16, 0.1f));
   }
 }
 BENCHMARK(BM_LocalSgdStep);

@@ -101,9 +101,7 @@ int main() {
                             std::move(accountant), config);
     engine.run_rounds(kRounds);
 
-    std::vector<nn::Sequential*> models(kNodes);
-    for (std::size_t i = 0; i < kNodes; ++i) models[i] = &engine.model(i);
-    const double acc = evaluator.evaluate_fleet(models).accuracy.mean;
+    const double acc = evaluator.evaluate_fleet(model, engine.node_parameters()).accuracy.mean;
 
     const std::size_t k = variant.sparse_k == 0 ? dim : variant.sparse_k;
     const std::size_t wire_bytes = exact_bytes(variant.codec, k);

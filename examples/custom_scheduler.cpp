@@ -108,9 +108,7 @@ int main() {
     engine.run_rounds(kRounds);
 
     const metrics::Evaluator evaluator(&dataset.test, 600);
-    std::vector<nn::Sequential*> models(kNodes);
-    for (std::size_t i = 0; i < kNodes; ++i) models[i] = &engine.model(i);
-    const auto eval = evaluator.evaluate_fleet(models);
+    const auto eval = evaluator.evaluate_fleet(model, engine.node_parameters());
     table.add_row({scheduler.name(),
                    util::fixed(100.0 * eval.accuracy.mean, 2),
                    util::fixed(engine.accountant().total_training_wh(), 2)});

@@ -65,9 +65,7 @@ int main() {
     engine.run_rounds(120);
 
     const metrics::Evaluator evaluator(&dataset.test, 600);
-    std::vector<nn::Sequential*> models(kNodes);
-    for (std::size_t i = 0; i < kNodes; ++i) models[i] = &engine.model(i);
-    const auto eval = evaluator.evaluate_fleet(models);
+    const auto eval = evaluator.evaluate_fleet(model, engine.node_parameters());
 
     table.add_row({scenario.name, util::fixed(mixing.spectral_gap(), 4),
                    std::to_string(scenario.topology.diameter()),

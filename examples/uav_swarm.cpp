@@ -74,9 +74,7 @@ int main() {
     engine.run_rounds(kRounds);
 
     const metrics::Evaluator evaluator(&dataset.test, 600);
-    std::vector<nn::Sequential*> models(kDrones);
-    for (std::size_t i = 0; i < kDrones; ++i) models[i] = &engine.model(i);
-    const auto eval = evaluator.evaluate_fleet(models);
+    const auto eval = evaluator.evaluate_fleet(model, engine.node_parameters());
 
     std::size_t total_trainings = 0;
     for (std::size_t i = 0; i < kDrones; ++i) {

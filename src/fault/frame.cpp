@@ -42,7 +42,8 @@ class PayloadReader {
     const std::size_t bytes = static_cast<std::size_t>(count) * sizeof(T);
     if (payload_.size() - pos_ < bytes) return false;
     out.resize(static_cast<std::size_t>(count));
-    std::memcpy(out.data(), payload_.data() + pos_, bytes);
+    // An empty vector's data() may be null, which memcpy must never see.
+    if (bytes != 0) std::memcpy(out.data(), payload_.data() + pos_, bytes);
     pos_ += bytes;
     return true;
   }
@@ -120,6 +121,14 @@ void flip_bit(std::span<std::uint8_t> frame, std::uint64_t bit_index) {
   const std::uint64_t byte = bit_index / 8;
   if (byte >= frame.size()) return;
   frame[byte] ^= static_cast<std::uint8_t>(1U << (bit_index % 8));
+}
+
+bool verify_flipped_copy(std::span<const std::uint8_t> frame,
+                         std::uint64_t bit_index) {
+  thread_local std::vector<std::uint8_t> scratch;
+  scratch.assign(frame.begin(), frame.end());
+  flip_bit(scratch, bit_index);
+  return verify_frame(scratch);
 }
 
 }  // namespace skiptrain::fault

@@ -52,4 +52,11 @@ void encode_frame(const quant::QuantizedRow& row,
 /// Flips bit `bit_index` (frame-wide, 0-based) in place.
 void flip_bit(std::span<std::uint8_t> frame, std::uint64_t bit_index);
 
+/// A receiver's check of its own corrupted copy of `frame`: copies the
+/// frame into per-thread scratch, flips `bit_index` there and returns
+/// verify_frame of the copy. `frame` is left untouched, and once the
+/// scratch has grown to the frame size a check allocates nothing.
+[[nodiscard]] bool verify_flipped_copy(std::span<const std::uint8_t> frame,
+                                       std::uint64_t bit_index);
+
 }  // namespace skiptrain::fault

@@ -14,30 +14,43 @@ Evaluator::Evaluator(const data::Dataset* dataset, std::size_t max_samples,
   if (dataset_ == nullptr || dataset_->size() == 0) {
     throw std::invalid_argument("Evaluator: empty dataset");
   }
+  if (batch_size_ == 0) {
+    throw std::invalid_argument("Evaluator: batch size must be positive");
+  }
   samples_ = (max_samples == 0) ? dataset_->size()
                                 : std::min(max_samples, dataset_->size());
 }
 
-EvalResult Evaluator::evaluate(nn::Sequential& model) const {
+std::vector<Evaluator::Batch> Evaluator::make_batches() const {
   const data::DatasetView view = data::DatasetView::whole(dataset_);
-  tensor::Tensor batch;
-  std::vector<std::int32_t> labels;
+  std::vector<Batch> batches;
+  batches.reserve((samples_ + batch_size_ - 1) / batch_size_);
+  for (std::size_t done = 0; done < samples_; done += batch_size_) {
+    Batch& batch = batches.emplace_back();
+    view.fill_range(done, std::min(batch_size_, samples_ - done),
+                    batch.features, batch.labels);
+  }
+  return batches;
+}
 
+EvalResult Evaluator::evaluate(nn::Sequential& model,
+                               std::span<const Batch> batches) const {
   double weighted_loss = 0.0;
   double weighted_acc = 0.0;
-  std::size_t done = 0;
-  while (done < samples_) {
-    const std::size_t count = std::min(batch_size_, samples_ - done);
-    view.fill_range(done, count, batch, labels);
-    const tensor::Tensor& logits = model.forward(batch);
+  for (const Batch& batch : batches) {
+    const tensor::Tensor& logits = model.forward(batch.features);
     const nn::LossResult result =
-        nn::softmax_cross_entropy_eval(logits, labels);
-    weighted_loss += result.loss * static_cast<double>(count);
-    weighted_acc += result.accuracy * static_cast<double>(count);
-    done += count;
+        nn::softmax_cross_entropy_eval(logits, batch.labels);
+    const auto count = static_cast<double>(batch.labels.size());
+    weighted_loss += result.loss * count;
+    weighted_acc += result.accuracy * count;
   }
   return EvalResult{weighted_acc / static_cast<double>(samples_),
                     weighted_loss / static_cast<double>(samples_)};
+}
+
+EvalResult Evaluator::evaluate(nn::Sequential& model) const {
+  return evaluate(model, make_batches());
 }
 
 namespace {
@@ -54,6 +67,15 @@ std::vector<float> mean_of_rows(std::size_t rows, std::size_t dim,
   const float inv = 1.0f / static_cast<float>(rows);
   for (auto& v : mean) v *= inv;
   return mean;
+}
+
+Evaluator::FleetResult summarize(std::vector<double> per_node) {
+  util::RunningStat stat;
+  for (const double acc : per_node) stat.add(acc);
+  return Evaluator::FleetResult{
+      util::Summary{stat.count(), stat.mean(), stat.stddev(), stat.min(),
+                    stat.max()},
+      std::move(per_node)};
 }
 
 }  // namespace
@@ -95,16 +117,34 @@ EvalResult Evaluator::evaluate_average(
 
 Evaluator::FleetResult Evaluator::evaluate_fleet(
     std::span<nn::Sequential* const> models) const {
-  FleetResult result;
-  result.per_node.assign(models.size(), 0.0);
+  const std::vector<Batch> batches = make_batches();
+  std::vector<double> per_node(models.size(), 0.0);
   util::parallel_for(0, models.size(), [&](std::size_t i) {
-    result.per_node[i] = evaluate(*models[i]).accuracy;
+    per_node[i] = evaluate(*models[i], batches).accuracy;
   });
-  util::RunningStat stat;
-  for (const double acc : result.per_node) stat.add(acc);
-  result.accuracy = util::Summary{stat.count(), stat.mean(), stat.stddev(),
-                                  stat.min(), stat.max()};
-  return result;
+  return summarize(std::move(per_node));
+}
+
+Evaluator::FleetResult Evaluator::evaluate_fleet(
+    const nn::Sequential& prototype, plane::ConstMatrixView rows) const {
+  if (rows.dim != prototype.num_parameters()) {
+    throw std::invalid_argument("evaluate_fleet: row size != model size");
+  }
+  const std::vector<Batch> batches = make_batches();
+  std::vector<double> per_node(rows.rows, 0.0);
+  util::ThreadPool::global().parallel_for_chunks(
+      0, rows.rows, [&](std::size_t lo, std::size_t hi) {
+        nn::Sequential shell = prototype.clone();
+        for (std::size_t i = lo; i < hi; ++i) {
+          // Forward passes only read the parameters, so the const row can
+          // back the shell without a copy.
+          const std::span<const float> row = rows.row(i);
+          shell.attach_parameter_arena(
+              {const_cast<float*>(row.data()), row.size()});
+          per_node[i] = evaluate(shell, batches).accuracy;
+        }
+      });
+  return summarize(std::move(per_node));
 }
 
 }  // namespace skiptrain::metrics

@@ -48,9 +48,27 @@ class Evaluator {
   };
   FleetResult evaluate_fleet(std::span<nn::Sequential* const> models) const;
 
+  /// The same, for a fleet stored as parameter rows (row i = node i, e.g.
+  /// an engine's node_parameters()). `prototype` supplies the
+  /// architecture: each parallel chunk clones it once and attaches that
+  /// shell to row after row, so no per-node model exists. Per-node
+  /// accuracies are bitwise those of the pointer overload.
+  FleetResult evaluate_fleet(const nn::Sequential& prototype,
+                             plane::ConstMatrixView rows) const;
+
   std::size_t samples_used() const { return samples_; }
 
  private:
+  struct Batch {
+    tensor::Tensor features;
+    std::vector<std::int32_t> labels;
+  };
+
+  /// The evaluation sweep, cut into batch_size_ batches.
+  std::vector<Batch> make_batches() const;
+  EvalResult evaluate(nn::Sequential& model,
+                      std::span<const Batch> batches) const;
+
   const data::Dataset* dataset_;
   std::size_t samples_;
   std::size_t batch_size_;

@@ -76,8 +76,8 @@ class Conv2d final : public ParamLayer {
   std::size_t pad_;
   Conv2dAlgo algo_ = Conv2dAlgo::kAuto;
 
-  // Per-layer scratch (each simulated node owns its model clone, so no
-  // cross-thread sharing): patch matrices and the transposed gradient
+  // Per-layer scratch (each worker trains through its own model shell, so
+  // no cross-thread sharing): patch matrices and the transposed gradient
   // plane, grown once and reused across batch images and rounds.
   std::vector<float> col_;     // [patch x out_hw]   (forward)
   std::vector<float> colr_;    // [out_hw x patch]   (backward dW)

@@ -13,8 +13,9 @@
 // * Gradients stay layer-owned: they are private scratch of the backward
 //   pass and never travel between nodes.
 // * Layers are stateless across samples except for cached forward artifacts
-//   needed by backward (e.g. max-pool argmax masks). Each simulated node
-//   owns its private model clone, so no cross-thread sharing occurs.
+//   needed by backward (e.g. max-pool argmax masks). A simulation engine
+//   gives each concurrently running worker its own model shell, attached
+//   to the row of the node it trains, so no cross-thread sharing occurs.
 // * Batch dimension is always tensor dim 0.
 #pragma once
 
@@ -149,7 +150,7 @@ class Layer {
 
   virtual void zero_grad() {}
 
-  /// Deep copy (used to instantiate one model per simulated node). The
+  /// Deep copy (used to instantiate model shells from a prototype). The
   /// copy always owns its parameter storage, regardless of how the source
   /// was bound.
   virtual std::unique_ptr<Layer> clone() const = 0;

@@ -3,7 +3,6 @@
 // provided for completeness and the extension benches.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "nn/sequential.hpp"
@@ -30,14 +29,6 @@ class SgdOptimizer {
   /// Clears momentum state (e.g. after a parameter overwrite from
   /// aggregation, where stale momentum would mix models incorrectly).
   void reset_state();
-
-  /// Serializable optimizer state (the lazily-sized momentum buffer;
-  /// empty until the first momentum step). Fleet checkpoints capture and
-  /// restore it so resumed runs continue bit-exactly.
-  std::span<const float> velocity() const { return velocity_; }
-  void set_velocity(std::vector<float> velocity) {
-    velocity_ = std::move(velocity);
-  }
 
  private:
   SgdOptions options_;

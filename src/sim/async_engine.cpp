@@ -24,7 +24,8 @@ AsyncGossipEngine::AsyncGossipEngine(const nn::Sequential& prototype,
       scheduler_(scheduler),
       accountant_(std::move(accountant)),
       train_seconds_(std::move(train_seconds)),
-      config_(config) {
+      config_(config),
+      shells_(prototype, data.num_nodes()) {
   const std::size_t n = data.num_nodes();
   if (topology_.num_nodes() != n || train_seconds_.size() != n ||
       accountant_.num_nodes() != n) {
@@ -37,7 +38,6 @@ AsyncGossipEngine::AsyncGossipEngine(const nn::Sequential& prototype,
     }
   }
 
-  const nn::SgdOptions sgd{config_.learning_rate, 0.0f, 0.0f};
   const std::size_t dim = prototype.num_parameters();
   models_ = plane::RowArena(n, dim);
   outbox_ = plane::RowArena(n, dim);
@@ -52,12 +52,12 @@ AsyncGossipEngine::AsyncGossipEngine(const nn::Sequential& prototype,
     }
     row_wire_bytes_ += fault::kFrameOverheadBytes;
   }
+  // Every node starts from x⁰ and trains and merges directly in its row.
+  const std::span<const float> x0 = prototype.parameter_arena();
   nodes_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    nodes_.push_back(std::make_unique<Node>(i, prototype, data.node_view(i),
-                                            sgd, config_.seed));
-    // The model trains and merges directly in its plane row.
-    nodes_[i]->model().bind_parameter_arena(models_.row(i));
+    nodes_.emplace_back(i, data.node_view(i), config_.seed);
+    tensor::copy(x0, models_.row(i));
   }
   local_round_.assign(n, 0);
 
@@ -163,7 +163,7 @@ void AsyncGossipEngine::save_state(ckpt::ImageWriter& writer) const {
     writer.u64(queue.top().node);
     queue.pop();
   }
-  for (const auto& node : nodes_) detail::write_node_state(writer, *node);
+  for (const Node& node : nodes_) detail::write_node_state(writer, node);
   // Scenario battery/churn state rides at the END of the payload — the
   // scenario-free image layout is unchanged, and the aux_bits identity
   // check guarantees reader and writer agree on this section's presence.
@@ -226,7 +226,7 @@ void AsyncGossipEngine::restore_state(ckpt::ImageReader& reader) {
     }
     queue.push(event);
   }
-  for (auto& node : nodes_) detail::read_node_state(reader, *node);
+  for (Node& node : nodes_) detail::read_node_state(reader, node);
   if (scenario_ != nullptr) scenario_->restore_state(reader);
   if (config_.faults.enabled) {
     fault_stats_.attempted_deliveries = reader.u64();
@@ -289,7 +289,11 @@ void AsyncGossipEngine::activate(std::size_t node) {
   if (trains) {
     accountant_.record_training(node);
     const std::uint64_t phase_start = obs::now_ns();
-    nodes_[node]->train_local(config_.local_steps, config_.batch_size);
+    std::unique_ptr<nn::Sequential> shell = shells_.acquire();
+    shell->attach_parameter_arena(models_.row(node));
+    nodes_[node].train_local(*shell, config_.local_steps, config_.batch_size,
+                             config_.learning_rate);
+    shells_.release(std::move(shell));
     obs::note_phase(phase_stats_, obs::Phase::kTrain, phase_start);
     ++trainings_;
   }
@@ -379,18 +383,16 @@ void AsyncGossipEngine::activate(std::size_t node) {
       // A duplicate lands in the mailbox slot the first copy already
       // flagged — absorbed by construction, only counted.
       if (draw.duplicate) ++fault_stats_.duplicated;
-      if (draw.corrupt) {
-        // In-flight bit flip on this receiver's copy; CRC32C detects
-        // every single-bit error, so the check cannot pass — but the
-        // receiver still runs it rather than assume.
-        std::vector<std::uint8_t> tampered(frame_scratch_);
-        fault::flip_bit(tampered,
-                        fault::corrupt_bit_index(config_.seed, t, node, peer,
-                                                 tampered.size()));
-        if (!fault::verify_frame(tampered)) {
-          ++fault_stats_.corrupt;
-          continue;
-        }
+      // In-flight bit flip on this receiver's copy; CRC32C detects every
+      // single-bit error, so the check cannot pass — but the receiver
+      // still runs it rather than assume.
+      if (draw.corrupt &&
+          !fault::verify_flipped_copy(
+              frame_scratch_,
+              fault::corrupt_bit_index(config_.seed, t, node, peer,
+                                       frame_scratch_.size()))) {
+        ++fault_stats_.corrupt;
+        continue;
       }
     }
     fresh_[peer][slot] = 1;

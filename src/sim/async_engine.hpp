@@ -110,7 +110,12 @@ class AsyncGossipEngine {
   std::size_t total_trainings() const { return trainings_; }
   std::size_t local_rounds(std::size_t node) const;
 
-  nn::Sequential& model(std::size_t node) { return nodes_[node]->model(); }
+  /// Node `node`'s model as an nn::Sequential viewing its row, built on
+  /// first request and valid for the engine's lifetime (see
+  /// RoundEngine::model). Training never goes through it.
+  nn::Sequential& model(std::size_t node) {
+    return shells_.view(node, models_.row(node));
+  }
   const energy::EnergyAccountant& accountant() const { return accountant_; }
 
   /// Battery/churn state when a scenario is enabled; nullptr otherwise.
@@ -136,7 +141,7 @@ class AsyncGossipEngine {
   /// activation/training counters, per-node local round counters, the
   /// model and outbox arenas (row-arena-contiguous blobs), mailbox
   /// freshness flags, the pending event queue, accountant tallies, and
-  /// per-node RNG/optimizer state. Part of the fleet-image format
+  /// per-node RNG state. Part of the fleet-image format
   /// (ckpt/fleet_image; callers normally go through save_fleet_image).
   void save_state(ckpt::ImageWriter& writer) const;
 
@@ -170,7 +175,9 @@ class AsyncGossipEngine {
   std::vector<double> train_seconds_;
   AsyncConfig config_;
 
-  std::vector<std::unique_ptr<Node>> nodes_;
+  std::vector<Node> nodes_;
+  // The event loop is serial, so a single training shell serves every node.
+  ModelShells shells_;
   std::vector<std::size_t> local_round_;
 
   // Node models live as rows of models_ (zero-copy merge/train); outbox_

@@ -26,7 +26,8 @@ RoundEngine::RoundEngine(const nn::Sequential& prototype,
       config_(config),
       plane_(data.num_nodes(), prototype.num_parameters()),
       staged_(data.num_nodes(),
-              std::min(config.sparse_exchange_k, prototype.num_parameters())) {
+              std::min(config.sparse_exchange_k, prototype.num_parameters())),
+      shells_(prototype, data.num_nodes()) {
   const std::size_t n = data.num_nodes();
   if (mixing_.num_nodes() != n) {
     throw std::invalid_argument("RoundEngine: mixing matrix size != nodes");
@@ -45,14 +46,12 @@ RoundEngine::RoundEngine(const nn::Sequential& prototype,
     }
   }
 
-  const nn::SgdOptions sgd{config_.learning_rate, 0.0f, 0.0f};
+  // Every node starts from the same x⁰, as the D-PSGD analysis assumes.
+  const std::span<const float> x0 = prototype.parameter_arena();
   nodes_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    nodes_.push_back(std::make_unique<Node>(i, prototype, data.node_view(i),
-                                            sgd, config_.seed));
-    // Migrate the clone's parameters onto its plane row: from here on the
-    // model trains directly in plane storage.
-    nodes_[i]->model().bind_parameter_arena(plane_.current().row(i));
+    nodes_.emplace_back(i, data.node_view(i), config_.seed);
+    tensor::copy(x0, plane_.current().row(i));
   }
   train_flags_.assign(n, 0);
   local_losses_.assign(n, 0.0);
@@ -179,16 +178,23 @@ RoundEngine::RoundOutcome RoundEngine::run_round() {
   }
   obs::note_phase(phase_stats_, obs::Phase::kLiveness, phase_start);
 
-  // Phase 2 — local training, parallel over nodes. Models view their
-  // plane rows, so this writes x^{t-1/2} into current() in place;
-  // non-training rows already hold x^{t-1}.
+  // Phase 2 — local training, parallel over nodes. Each chunk of nodes
+  // trains through one shell attached to row after row, so this writes
+  // x^{t-1/2} into current() in place; non-training rows already hold
+  // x^{t-1}.
   phase_start = obs::now_ns();
-  util::parallel_for(0, n, [&](std::size_t i) {
-    if (train_flags_[i]) {
-      local_losses_[i] =
-          nodes_[i]->train_local(config_.local_steps, config_.batch_size);
-    }
-  });
+  util::ThreadPool::global().parallel_for_chunks(
+      0, n, [&](std::size_t lo, std::size_t hi) {
+        std::unique_ptr<nn::Sequential> shell = shells_.acquire();
+        for (std::size_t i = lo; i < hi; ++i) {
+          if (!train_flags_[i]) continue;
+          shell->attach_parameter_arena(plane_.current().row(i));
+          local_losses_[i] = nodes_[i].train_local(
+              *shell, config_.local_steps, config_.batch_size,
+              config_.learning_rate);
+        }
+        shells_.release(std::move(shell));
+      });
   obs::note_phase(phase_stats_, obs::Phase::kTrain, phase_start);
 
   // Phase 3+4 — exchange & aggregate.
@@ -234,18 +240,15 @@ RoundEngine::RoundOutcome RoundEngine::run_round() {
             continue;
           }
           if (draw.duplicate) ++tally.duplicated;  // absorbed: see below
-          if (draw.corrupt) {
-            // In-flight bit flip on this receiver's copy of the frame.
-            // CRC32C detects every single-bit error, so the check cannot
-            // pass — but the receiver still runs it rather than assume.
-            std::vector<std::uint8_t> tampered(frames_[j]);
-            fault::flip_bit(tampered,
-                            fault::corrupt_bit_index(config_.seed, t, j, i,
-                                                     tampered.size()));
-            if (!fault::verify_frame(tampered)) {
-              ++tally.corrupt;
-              continue;
-            }
+          // In-flight bit flip on this receiver's copy of the frame.
+          // CRC32C detects every single-bit error, so the check cannot
+          // pass — but the receiver still runs it rather than assume.
+          if (draw.corrupt &&
+              !fault::verify_flipped_copy(
+                  frames_[j], fault::corrupt_bit_index(config_.seed, t, j, i,
+                                                       frames_[j].size()))) {
+            ++tally.corrupt;
+            continue;
           }
           // Duplicates deliver the identical round-t frame twice; the
           // receiver aggregates each (sender, round) image once, so the
@@ -330,11 +333,9 @@ RoundEngine::RoundOutcome RoundEngine::run_round() {
         }
       });
     }
-    // The flip moved x^t to the other buffer; repoint every model's layer
-    // views at its new row (pointer swap, no copies).
-    for (std::size_t i = 0; i < n; ++i) {
-      nodes_[i]->model().attach_parameter_arena(plane_.current().row(i));
-    }
+    // The flip moved x^t to the other buffer; repoint the model(i) views
+    // handed out so far at their new rows (pointer swap, no copies).
+    shells_.reattach_views(plane_.current());
     obs::note_phase(phase_stats_, obs::Phase::kGossip, phase_start);
   } else {
     // Sparse: all nodes exchange the same k random coordinates this round
@@ -385,15 +386,12 @@ RoundEngine::RoundOutcome RoundEngine::run_round() {
             continue;
           }
           if (draw.duplicate) ++tally.duplicated;
-          if (draw.corrupt) {
-            std::vector<std::uint8_t> tampered(frames_[j]);
-            fault::flip_bit(tampered,
-                            fault::corrupt_bit_index(config_.seed, t, j, i,
-                                                     tampered.size()));
-            if (!fault::verify_frame(tampered)) {
-              ++tally.corrupt;
-              continue;
-            }
+          if (draw.corrupt &&
+              !fault::verify_flipped_copy(
+                  frames_[j], fault::corrupt_bit_index(config_.seed, t, j, i,
+                                                       frames_[j].size()))) {
+            ++tally.corrupt;
+            continue;
           }
           core::accumulate_staged_difference(round_mask_, theirs_pool.row(j),
                                              mine_staged, row, entry.weight);
@@ -502,7 +500,7 @@ void RoundEngine::save_state(ckpt::ImageWriter& writer) const {
   // i's x_i^t, and rows are arena-contiguous, so this is a single write
   // (and a single read into the arena on restore).
   writer.f32_blob(plane_.current().view().flat());
-  for (const auto& node : nodes_) detail::write_node_state(writer, *node);
+  for (const Node& node : nodes_) detail::write_node_state(writer, node);
   // Scenario battery/churn state rides at the END of the payload, so the
   // scenario-free image layout (and probe_fleet_image's prefix reads) is
   // unchanged; the aux_bits identity check above guarantees a reader only
@@ -525,9 +523,9 @@ void RoundEngine::restore_state(ckpt::ImageReader& reader) {
   const std::uint64_t round =
       detail::read_validated_identity(reader, identity());
   detail::read_accountant(reader, accountant_);
-  // One read straight into the live arena; models already view these rows.
+  // One read straight into the live rows (model(i) views follow them).
   reader.f32_blob(plane_.current().view().flat());
-  for (auto& node : nodes_) detail::read_node_state(reader, *node);
+  for (Node& node : nodes_) detail::read_node_state(reader, node);
   if (scenario_ != nullptr) scenario_->restore_state(reader);
   if (config_.faults.enabled) {
     fault_stats_.attempted_deliveries = reader.u64();

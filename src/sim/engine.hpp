@@ -13,8 +13,9 @@
 //   4. aggregate— x_i^t = Σ_j W_ji x_j^{t-1/2}, double-buffered so reads
 //                 and writes never alias.
 //
-// Storage: all n models live as rows of one contiguous ParameterPlane and
-// each node's nn::Sequential views its row directly, so training writes
+// Storage: all n models live as rows of one contiguous ParameterPlane.
+// Nodes are rows, not objects: a training worker attaches its model shell
+// (sim/node.hpp) to the row of the node it trains, so training writes
 // x^{t-1/2} in place and the aggregate phase is a single blocked
 // plane-to-plane kernel (plane::apply_mixing) — no get_parameters /
 // set_parameters copies anywhere in the per-round path. The sparse
@@ -104,12 +105,12 @@ struct EngineConfig {
 
 class RoundEngine {
  public:
-  /// All reference parameters must outlive the engine. `prototype`
-  /// supplies the shared initial model x⁰ (cloned per node, then bound
-  /// onto this engine's parameter plane). `mixing` converts implicitly
-  /// from a MixingMatrix (dense) or a SparseMixing (kregular/csr
-  /// topologies — aggregation then runs the row-sharded kernel); the
-  /// referenced mixing must outlive the engine either way.
+  /// All reference parameters except `prototype` must outlive the
+  /// engine. `prototype` supplies the architecture and the shared initial
+  /// model x⁰, which is copied into every plane row. `mixing` converts
+  /// implicitly from a MixingMatrix (dense) or a SparseMixing
+  /// (kregular/csr topologies — aggregation then runs the row-sharded
+  /// kernel); the referenced mixing must outlive the engine either way.
   RoundEngine(const nn::Sequential& prototype, const data::FederatedData& data,
               graph::MixingRef mixing, const core::RoundScheduler& scheduler,
               energy::EnergyAccountant accountant, EngineConfig config);
@@ -129,8 +130,14 @@ class RoundEngine {
   std::size_t num_nodes() const { return nodes_.size(); }
   std::size_t rounds_executed() const { return round_; }
 
-  nn::Sequential& model(std::size_t node) { return nodes_[node]->model(); }
-  std::span<std::unique_ptr<Node>> nodes() { return nodes_; }
+  /// Node `node`'s model as an nn::Sequential viewing its plane row, built
+  /// on first request. The reference stays valid for the engine's
+  /// lifetime and keeps following the row across rounds, so reads and
+  /// set_parameters through it act on the live parameters. Not
+  /// thread-safe; training never goes through it.
+  nn::Sequential& model(std::size_t node) {
+    return shells_.view(node, plane_.current().row(node));
+  }
 
   /// Zero-copy view of every node's current parameters x_i^t: row i of the
   /// plane IS node i's model storage. Row spans are invalidated by the
@@ -165,7 +172,7 @@ class RoundEngine {
 
   /// Serializes the engine's complete mutable simulation state — round
   /// counter, the [n × dim] plane blob (row-arena-contiguous, one write),
-  /// accountant tallies/budgets, and per-node RNG/optimizer state — plus
+  /// accountant tallies/budgets, and per-node RNG state — plus
   /// the construction fingerprint (seed, codec, sparse k, scheduler name)
   /// used to validate restore_state. Part of the fleet-image format
   /// (ckpt/fleet_image; callers normally go through save_fleet_image).
@@ -191,7 +198,8 @@ class RoundEngine {
   energy::EnergyAccountant accountant_;
   EngineConfig config_;
 
-  // Double-buffered [n × dim] model storage; models view current() rows.
+  // Double-buffered [n × dim] model storage; node i's x_i^t is row i of
+  // current().
   plane::ParameterPlane plane_;
   // Compact [n × k] staging pool for the masked sparse exchange.
   plane::RowArena staged_;
@@ -205,7 +213,8 @@ class RoundEngine {
   plane::RowArena decoded_;
   plane::RowArena staged_decoded_;
 
-  std::vector<std::unique_ptr<Node>> nodes_;
+  std::vector<Node> nodes_;
+  ModelShells shells_;
   std::size_t round_ = 0;
 
   std::vector<std::uint32_t> round_mask_;  // sparse_exchange_k mode

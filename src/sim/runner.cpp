@@ -256,8 +256,6 @@ ExperimentResult run_experiment(const data::FederatedData& data,
   const data::Dataset* eval_split =
       options.eval_on_validation ? &data.validation : &data.test;
   metrics::Evaluator evaluator(eval_split, options.eval_max_samples);
-  std::vector<nn::Sequential*> model_ptrs(n);
-  for (std::size_t i = 0; i < n; ++i) model_ptrs[i] = &engine.model(i);
 
   const std::size_t eval_every =
       options.eval_every != 0
@@ -286,7 +284,8 @@ ExperimentResult run_experiment(const data::FederatedData& data,
     metrics::RoundRecord record;
     record.round = round;
     record.training_round = (kind == core::RoundKind::kTraining);
-    const auto fleet_eval = evaluator.evaluate_fleet(model_ptrs);
+    const auto fleet_eval =
+        evaluator.evaluate_fleet(prototype, engine.node_parameters());
     record.mean_accuracy = fleet_eval.accuracy.mean;
     record.std_accuracy = fleet_eval.accuracy.stddev;
     last_per_node = fleet_eval.per_node;

@@ -11,6 +11,7 @@
 #include <bit>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "ckpt/io.hpp"
 #include "energy/accountant.hpp"
@@ -150,12 +151,15 @@ inline void read_accountant(ckpt::ImageReader& reader,
   }
 }
 
+/// A node's RNG stream, then its optimizer velocity. Both engines train
+/// with momentum 0, so the velocity is always the empty vector; the field
+/// stays in the format so images keep their layout.
 inline void write_node_state(ckpt::ImageWriter& writer, const Node& node) {
-  const util::Rng::State rng = node.rng().state();
+  const util::Rng::State rng = node.rng.state();
   for (const std::uint64_t word : rng.s) writer.u64(word);
   writer.f64(rng.cached_normal);
   writer.u8(rng.has_cached_normal ? 1 : 0);
-  writer.f32_vec(node.optimizer().velocity());
+  writer.f32_vec({});
 }
 
 inline void read_node_state(ckpt::ImageReader& reader, Node& node) {
@@ -163,8 +167,15 @@ inline void read_node_state(ckpt::ImageReader& reader, Node& node) {
   for (auto& word : rng.s) word = reader.u64();
   rng.cached_normal = reader.f64();
   rng.has_cached_normal = reader.u8() != 0;
-  node.rng().set_state(rng);
-  node.optimizer().set_velocity(reader.f32_vec());
+  const std::vector<float> velocity = reader.f32_vec();
+  if (!velocity.empty()) {
+    // No engine keeps momentum, so a restore could not honour it.
+    throw std::runtime_error("fleet image: node " + std::to_string(node.id) +
+                             " carries a momentum velocity of " +
+                             std::to_string(velocity.size()) +
+                             " values; the engines train without momentum");
+  }
+  node.rng.set_state(rng);
 }
 
 }  // namespace skiptrain::sim::detail

@@ -2,6 +2,8 @@
 // pacing, budget enforcement, determinism, and learning progress.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/scheduler.hpp"
 #include "data/synthetic.hpp"
 #include "energy/accountant.hpp"
@@ -255,6 +257,36 @@ TEST(AsyncEngine, LearnsAboveChance) {
   }
   mean_acc /= 16.0;
   EXPECT_GT(mean_acc, 0.3);  // 10 classes, chance = 0.1
+}
+
+TEST(AsyncEngine, ModelViewsTrackRowsAcrossActivations) {
+  // A model(i) reference taken before the first activation stays valid
+  // and keeps viewing row i through training and sync-only activations,
+  // and writes through it land in the row.
+  AsyncFixture fixture;
+  const core::SkipTrainScheduler scheduler(1, 2);
+  auto engine = fixture.make_engine(scheduler, std::vector<double>(12, 1.0));
+  std::vector<nn::Sequential*> views(engine.num_nodes());
+  for (std::size_t i = 0; i < views.size(); ++i) views[i] = &engine.model(i);
+
+  for (const double horizon : {2.0, 5.0, 9.0}) {
+    engine.run_until(horizon);
+    for (std::size_t i = 0; i < views.size(); ++i) {
+      ASSERT_EQ(&engine.model(i), views[i]);
+      ASSERT_EQ(views[i]->parameter_arena().data(),
+                engine.node_parameters().row(i).data())
+          << "horizon " << horizon << " node " << i;
+    }
+  }
+  EXPECT_GT(engine.total_trainings(), 0u);
+  EXPECT_LT(engine.total_trainings(), engine.total_activations());
+
+  std::vector<float> params(fixture.prototype.num_parameters());
+  util::Rng rng(23);
+  rng.fill_normal(params, 0.0f, 1.0f);
+  views[5]->set_parameters(params);
+  const auto row = engine.node_parameters().row(5);
+  EXPECT_TRUE(std::equal(row.begin(), row.end(), params.begin(), params.end()));
 }
 
 TEST(AsyncEngine, RejectsBadConstruction) {

@@ -8,6 +8,8 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -240,6 +242,61 @@ TEST(FleetImage, RestoreOverwritesAnEngineThatAlreadyRan) {
   EXPECT_TRUE(
       bytes_equal(reference.node_parameters(), target.node_parameters()));
   expect_accountants_equal(reference.accountant(), target.accountant());
+}
+
+/// The payload `engine` saves, rewritten with ImageWriter so that node
+/// `victim` carries a non-empty optimizer velocity. Without a scenario or
+/// fault plan the per-node states are the payload's tail, each 4 RNG
+/// words, the cached normal, its flag and the f32 velocity vector — which
+/// the engines always write empty (a zero count).
+template <typename Engine>
+std::string payload_with_velocity(const Engine& engine, std::size_t victim) {
+  std::ostringstream saved;
+  ckpt::ImageWriter saver(saved);
+  engine.save_state(saver);
+  const std::string bytes = saved.str();
+  constexpr std::size_t kNodeBytes = 4 * 8 + 8 + 1 + 8;
+  const std::size_t velocity_at = bytes.size() -
+                                  engine.num_nodes() * kNodeBytes +
+                                  victim * kNodeBytes + (kNodeBytes - 8);
+  EXPECT_EQ(bytes.substr(velocity_at, 8), std::string(8, '\0'));
+
+  std::ostringstream crafted;
+  ckpt::ImageWriter writer(crafted);
+  writer.bytes(bytes.data(), velocity_at);
+  writer.f32_vec(std::vector<float>{0.5f, -0.25f});
+  writer.bytes(bytes.data() + velocity_at + 8, bytes.size() - velocity_at - 8);
+  return crafted.str();
+}
+
+template <typename Engine>
+void expect_velocity_rejected(Engine& engine, const std::string& payload) {
+  std::istringstream in(payload);
+  ckpt::ImageReader reader(in, payload.size());
+  try {
+    engine.restore_state(reader);
+    ADD_FAILURE() << "an image with a momentum velocity was restored";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("node 3 "), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(FleetImage, NonEmptyVelocityIsACheckedError) {
+  // Neither engine keeps momentum, so an image claiming a velocity for
+  // a node cannot be honoured and must be refused by name.
+  Fixture fixture(6, 2);
+  const core::SkipTrainScheduler scheduler(2, 1);
+  sim::RoundEngine source = fixture.make_engine(scheduler);
+  source.run_rounds(3);
+  sim::RoundEngine target = fixture.make_engine(scheduler);
+  expect_velocity_rejected(target, payload_with_velocity(source, 3));
+
+  sim::AsyncGossipEngine async_source = fixture.make_async(scheduler);
+  async_source.run_until(4.0);
+  sim::AsyncGossipEngine async_target = fixture.make_async(scheduler);
+  expect_velocity_rejected(async_target,
+                           payload_with_velocity(async_source, 3));
 }
 
 // --- async engine ----------------------------------------------------------

@@ -1,19 +1,34 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
+#include "core/scheduler.hpp"
 #include "data/synthetic.hpp"
+#include "energy/accountant.hpp"
+#include "graph/mixing.hpp"
+#include "graph/topology.hpp"
 #include "metrics/consensus.hpp"
 #include "metrics/evaluator.hpp"
 #include "metrics/recorder.hpp"
 #include "nn/init.hpp"
 #include "nn/linear.hpp"
 #include "nn/model_zoo.hpp"
+#include "sim/engine.hpp"
+#include "util/thread_pool.hpp"
 
 namespace skiptrain::metrics {
 namespace {
+
+// The fleet-evaluator equivalence test compares a serial run against a
+// 4-thread pool. The global pool reads SKIPTRAIN_THREADS once, on first
+// use; this runs during static initialization, before any test does.
+const bool kPoolSized = [] {
+  setenv("SKIPTRAIN_THREADS", "4", /*overwrite=*/1);  // NOLINT(concurrency-mt-unsafe)
+  return true;
+}();
 
 data::Dataset tiny_dataset() {
   // 4 samples in 2D; class = sign of feature 0.
@@ -127,6 +142,93 @@ TEST(Evaluator, FleetSummary) {
   EXPECT_DOUBLE_EQ(result.per_node[0], 1.0);
   EXPECT_DOUBLE_EQ(result.per_node[1], 0.0);
   EXPECT_NEAR(result.accuracy.stddev, 0.5, 1e-12);
+}
+
+/// Per-node accuracies of a fleet trained for a few rounds at batch 16,
+/// evaluated at batch 48 over 200 samples (five batches, the last one
+/// partial) by the row-based and the pointer-based evaluate_fleet.
+void expect_row_evaluator_matches_clones(const data::FederatedData& data,
+                                         nn::Sequential prototype) {
+  util::Rng rng(9);
+  nn::initialize(prototype, rng);
+  const std::size_t n = data.num_nodes();
+  util::Rng topo_rng(10);
+  const graph::Topology topology = graph::make_random_regular(n, 4, topo_rng);
+  const graph::MixingMatrix mixing =
+      graph::MixingMatrix::metropolis_hastings(topology);
+  const core::SkipTrainScheduler scheduler(2, 1);
+  energy::EnergyAccountant accountant(
+      energy::Fleet::even(n, energy::Workload::kCifar10), energy::CommModel{},
+      89834, std::vector<std::size_t>(n, 4));
+  sim::EngineConfig config;
+  config.local_steps = 3;
+  config.batch_size = 16;
+  sim::RoundEngine engine(prototype, data, mixing, scheduler,
+                          std::move(accountant), config);
+  engine.run_rounds(4);
+
+  const Evaluator evaluator(&data.test, 200, 48);
+  ASSERT_GT(evaluator.samples_used(), 48u * 4);
+  std::vector<nn::Sequential> clones;
+  for (std::size_t i = 0; i < n; ++i) {
+    clones.push_back(prototype.clone());
+    clones.back().set_parameters(engine.node_parameters().row(i));
+  }
+  std::vector<nn::Sequential*> pointers;
+  for (nn::Sequential& clone : clones) pointers.push_back(&clone);
+
+  const auto check = [&](const char* label) {
+    const auto rows = evaluator.evaluate_fleet(prototype,
+                                               engine.node_parameters());
+    const auto reference = evaluator.evaluate_fleet(pointers);
+    ASSERT_EQ(rows.per_node.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      // Bitwise: the doubles must be the same value, not merely close.
+      EXPECT_EQ(rows.per_node[i], reference.per_node[i])
+          << label << " node " << i;
+    }
+    EXPECT_EQ(rows.accuracy.mean, reference.accuracy.mean) << label;
+    EXPECT_EQ(rows.accuracy.stddev, reference.accuracy.stddev) << label;
+  };
+  {
+    const util::ThreadPool::ScopedForceSerial serial;
+    check("1 thread");
+  }
+  ASSERT_EQ(util::ThreadPool::global().size(), 4u);
+  check("4 threads");
+}
+
+TEST(Evaluator, RowFleetMatchesPerNodeClonesCompactCifar) {
+  data::CifarSynConfig config;
+  config.nodes = 9;
+  config.samples_per_node = 40;
+  config.test_pool = 400;
+  expect_row_evaluator_matches_clones(
+      data::make_cifar_synthetic(config),
+      nn::make_compact_cifar_model(config.feature_dim));
+}
+
+TEST(Evaluator, RowFleetMatchesPerNodeClonesCompactFemnist) {
+  data::FemnistSynConfig config;
+  config.nodes = 9;
+  config.mean_samples_per_node = 40;
+  config.test_pool = 400;
+  expect_row_evaluator_matches_clones(
+      data::make_femnist_synthetic(config),
+      nn::make_compact_femnist_model(config.feature_dim));
+}
+
+TEST(Evaluator, RowFleetRejectsMismatchedRows) {
+  const data::Dataset dataset = tiny_dataset();
+  const Evaluator evaluator(&dataset);
+  const nn::Sequential prototype = perfect_model();
+  const std::vector<float> rows(3 * (prototype.num_parameters() + 1), 0.0f);
+  EXPECT_THROW(
+      (void)evaluator.evaluate_fleet(
+          prototype,
+          plane::ConstMatrixView{rows.data(), 3,
+                                 prototype.num_parameters() + 1}),
+      std::invalid_argument);
 }
 
 TEST(Evaluator, EmptyDatasetThrows) {

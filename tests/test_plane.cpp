@@ -332,6 +332,38 @@ TEST(PlaneEngine, ModelsAliasPlaneRows) {
   }
 }
 
+TEST(PlaneEngine, ModelViewsTrackRowsAcrossTrainAndSyncRounds) {
+  // The contract replay tools rely on: a model(i) reference taken before
+  // round 1 stays valid and keeps viewing row i through training rounds
+  // and buffer flips, and writes through it land in the row.
+  EngineFixture fixture(6);
+  const core::SkipTrainScheduler scheduler(1, 2);  // train, sync, sync, ...
+  for (const std::size_t sparse_k : {std::size_t{0}, std::size_t{5}}) {
+    sim::RoundEngine engine = fixture.make_engine(scheduler, sparse_k);
+    std::vector<nn::Sequential*> views(engine.num_nodes());
+    for (std::size_t i = 0; i < views.size(); ++i) views[i] = &engine.model(i);
+
+    for (std::size_t round = 1; round <= 6; ++round) {
+      engine.run_round();
+      for (std::size_t i = 0; i < views.size(); ++i) {
+        ASSERT_EQ(&engine.model(i), views[i]);
+        ASSERT_EQ(views[i]->parameter_arena().data(),
+                  engine.node_parameters().row(i).data())
+            << "sparse_k=" << sparse_k << " round " << round << " node " << i;
+      }
+    }
+
+    util::Rng rng(17);
+    std::vector<float> params(fixture.prototype.num_parameters());
+    rng.fill_normal(params, 0.0f, 1.0f);
+    views[2]->set_parameters(params);
+    const auto row = engine.node_parameters().row(2);
+    EXPECT_TRUE(std::equal(row.begin(), row.end(), params.begin(),
+                           params.end()))
+        << "sparse_k=" << sparse_k;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Staging helpers
 // ---------------------------------------------------------------------------

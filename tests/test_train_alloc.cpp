@@ -1,8 +1,13 @@
+// Allocation contracts of local training and engine construction.
+//
 // Steady-state local training is allocation-free: after one warm-up step
 // sizes every buffer, Node::train_local samples a batch, runs forward,
-// loss, backward and the optimizer without touching the heap. A global
-// counting operator new (the pattern of test_obs.cpp) pins this; it lives
-// in its own binary because the replacement is process-wide.
+// loss, backward and the optimizer through a model shell without touching
+// the heap, even as the shell moves from node row to node row. And an
+// engine holds no per-node model: building one allocates at most once per
+// node. A global counting operator new (the pattern of test_obs.cpp) pins
+// both; it lives in its own binary because the replacement is
+// process-wide.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,9 +15,14 @@
 #include <cstdlib>
 #include <new>
 
+#include "core/scheduler.hpp"
 #include "data/synthetic.hpp"
+#include "energy/accountant.hpp"
+#include "graph/sparse.hpp"
 #include "nn/init.hpp"
 #include "nn/model_zoo.hpp"
+#include "plane/plane.hpp"
+#include "sim/engine.hpp"
 #include "sim/node.hpp"
 #include "util/rng.hpp"
 
@@ -66,17 +76,34 @@ void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
 namespace skiptrain::sim {
 namespace {
 
-/// Allocations made by `steps` further train_local(1, batch) calls after
-/// one warm-up call.
+std::uint64_t allocations() {
+  return g_allocations.load(std::memory_order_relaxed);
+}
+
+/// Allocations made by `passes` further rounds of train_local(1, batch)
+/// over four nodes after one warm-up round. One shell serves all four,
+/// attached to each node's row in turn, as an engine worker runs it.
 std::uint64_t steady_state_allocations(const nn::Sequential& prototype,
                                        const data::FederatedData& data,
-                                       nn::SgdOptions sgd, std::size_t batch,
-                                       int steps) {
-  Node node(3, prototype, data.node_view(3), sgd, 17);
-  (void)node.train_local(1, batch);
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  for (int s = 0; s < steps; ++s) (void)node.train_local(1, batch);
-  return g_allocations.load(std::memory_order_relaxed) - before;
+                                       std::size_t batch, int passes) {
+  constexpr std::size_t kNodes = 4;
+  plane::RowArena rows(kNodes, prototype.num_parameters());
+  std::vector<Node> nodes;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    nodes.emplace_back(i, data.node_view(i), 17);
+    tensor::copy(prototype.parameter_arena(), rows.row(i));
+  }
+  nn::Sequential shell = prototype.clone();
+  const auto train_all = [&] {
+    for (Node& node : nodes) {
+      shell.attach_parameter_arena(rows.row(node.id));
+      (void)node.train_local(shell, 1, batch, 0.05f);
+    }
+  };
+  train_all();
+  const std::uint64_t before = allocations();
+  for (int p = 0; p < passes; ++p) train_all();
+  return allocations() - before;
 }
 
 TEST(TrainAlloc, CompactCifarStepAllocatesNothing) {
@@ -88,12 +115,10 @@ TEST(TrainAlloc, CompactCifarStepAllocatesNothing) {
   nn::Sequential prototype = nn::make_compact_cifar_model(config.feature_dim);
   util::Rng rng(5);
   nn::initialize(prototype, rng);
-  EXPECT_EQ(steady_state_allocations(prototype, data,
-                                     nn::SgdOptions{0.05f, 0.0f, 0.0f}, 16, 8),
-            0u);
+  EXPECT_EQ(steady_state_allocations(prototype, data, 16, 8), 0u);
 }
 
-TEST(TrainAlloc, CompactFemnistStepWithMomentumAllocatesNothing) {
+TEST(TrainAlloc, CompactFemnistStepAllocatesNothing) {
   data::FemnistSynConfig config;
   config.nodes = 8;
   config.mean_samples_per_node = 40;
@@ -103,15 +128,50 @@ TEST(TrainAlloc, CompactFemnistStepWithMomentumAllocatesNothing) {
       nn::make_compact_femnist_model(config.feature_dim);
   util::Rng rng(6);
   nn::initialize(prototype, rng);
-  // Momentum sizes its velocity buffer on the warm-up step only; batch 4
-  // is the large_fleet preset's.
+  // Batch 4 is the large_fleet preset's.
   for (const std::size_t batch : {std::size_t{16}, std::size_t{4}}) {
-    EXPECT_EQ(steady_state_allocations(prototype, data,
-                                       nn::SgdOptions{0.05f, 0.9f, 1e-4f},
-                                       batch, 8),
-              0u)
+    EXPECT_EQ(steady_state_allocations(prototype, data, batch, 8), 0u)
         << "batch " << batch;
   }
+}
+
+/// Allocations made by the RoundEngine constructor alone for an n-node
+/// fleet on the implicit k-regular topology (data, mixing, scheduler and
+/// accountant are built beforehand).
+std::uint64_t engine_build_allocations(std::size_t nodes) {
+  data::CifarSynConfig config;
+  config.nodes = nodes;
+  config.samples_per_node = 4;
+  config.test_pool = 20;
+  const data::FederatedData data = data::make_cifar_synthetic(config);
+  nn::Sequential prototype = nn::make_compact_cifar_model(config.feature_dim);
+  util::Rng rng(7);
+  nn::initialize(prototype, rng);
+  const graph::SparseMixing mixing = graph::SparseMixing::metropolis_hastings(
+      graph::ImplicitKRegular(nodes, 6, 11));
+  const core::DpsgdScheduler scheduler;
+  std::vector<std::size_t> degrees(nodes);
+  for (std::size_t i = 0; i < nodes; ++i) degrees[i] = mixing.degree(i);
+  energy::EnergyAccountant accountant(
+      energy::Fleet::even(nodes, energy::Workload::kCifar10),
+      energy::CommModel{}, 89834, std::move(degrees));
+
+  const std::uint64_t before = allocations();
+  const RoundEngine engine(prototype, data, mixing, scheduler,
+                           std::move(accountant), EngineConfig{});
+  const std::uint64_t made = allocations() - before;
+  EXPECT_EQ(engine.num_nodes(), nodes);
+  return made;
+}
+
+TEST(TrainAlloc, EngineBuildAllocatesAtMostOncePerNode) {
+  // The per-node share is the node's copy of its shard's index list; a
+  // per-node model (layers, gradient buffers, arena) would cost a dozen.
+  const std::uint64_t small = engine_build_allocations(64);
+  const std::uint64_t large = engine_build_allocations(512);
+  ASSERT_GE(large, small);
+  EXPECT_LE(large - small, 512u - 64u)
+      << "64 nodes: " << small << " allocations, 512 nodes: " << large;
 }
 
 }  // namespace
