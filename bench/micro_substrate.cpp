@@ -7,9 +7,9 @@
 // --benchmark_out=...) so CI records the gossip-kernel perf trajectory
 // per PR. `--quick` runs the aggregate-phase, large-fleet sharded-gossip,
 // exchange-codec, fleet-checkpoint, scenario/harvest, kernel-layer GEMM,
-// and Conv2d grids at a short min-time — the mode the CI Release job
-// uses; the GEMM/Conv/Gossip rows feed the bench regression gate
-// (tools/check_bench_regression.py).
+// Conv2d and fleet-evaluation grids at a short min-time — the mode the
+// CI Release job uses; the GEMM/Conv/Gossip rows feed the bench
+// regression gate (tools/check_bench_regression.py).
 #include <benchmark/benchmark.h>
 
 #include <sys/resource.h>
@@ -58,6 +58,10 @@ BENCHMARK(BM_GemmNT)->Arg(16)->Arg(64)->Arg(256);
 //   nt {16, 64, 32}   : compact CIFAR MLP Linear(64->32) forward, batch 16
 //   nt {16, 64, 48}   : compact FEMNIST MLP Linear(64->48) forward
 //   nt {16, 48, 62}   : compact FEMNIST MLP Linear(48->62) forward
+//   nt {16, 32, 10}   : compact CIFAR MLP Linear(32->10) forward, batch 16
+//   nt {64, 32, 10}   : the same head over fleet_10k's 64-sample eval
+//   nt {256, 32, 10}  : the same head over a full 256-row eval batch
+//   nt {256, 48, 62}  : compact FEMNIST MLP head over a 256-row eval batch
 //   nn {16, 512, 3136}: femnist Linear backward dX
 //   nn {32, 800, 256} : GN-LeNet conv2 forward as im2col GEMM
 //   nn {16, 62, 48}   : compact FEMNIST MLP Linear(48->62) backward dX
@@ -67,8 +71,9 @@ BENCHMARK(BM_GemmNT)->Arg(16)->Arg(64)->Arg(256);
 //   tn {48, 16, 64}   : compact FEMNIST MLP Linear(64->48) backward dW
 //   tn {62, 16, 48}   : compact FEMNIST MLP Linear(48->62) backward dW
 //
-// The compact-MLP rows are the shapes every sweep preset trains at: nn
-// and tn take the register-row kernels, nt the blocked path.
+// The compact-MLP rows are the shapes every sweep preset trains and
+// evaluates at: nn and tn take the register-row kernels, nt the blocked
+// path with zero-padded edge tiles (the 10- and 62-wide heads).
 // ---------------------------------------------------------------------------
 
 using GemmFn = void (*)(std::size_t, std::size_t, std::size_t,
@@ -96,6 +101,8 @@ void BM_GemmShape(benchmark::State& state) {
 void GemmNTShapes(benchmark::internal::Benchmark* bench) {
   bench->Args({16, 3136, 512})->Args({16, 64, 32});
   bench->Args({16, 64, 48})->Args({16, 48, 62});
+  bench->Args({16, 32, 10})->Args({64, 32, 10})->Args({256, 32, 10});
+  bench->Args({256, 48, 62});
 }
 void GemmNNShapes(benchmark::internal::Benchmark* bench) {
   bench->Args({16, 512, 3136})->Args({32, 800, 256});
@@ -686,21 +693,41 @@ void BM_SpectralGap(benchmark::State& state) {
 }
 BENCHMARK(BM_SpectralGap)->Arg(64)->Arg(256);
 
-void BM_Evaluation(benchmark::State& state) {
+// Row-based fleet evaluation, the form the engines run: `rows` node
+// rows of the compact CIFAR MLP against `samples` test samples (args are
+// {rows, samples}). 128 x 600 is lossy_exchange's shape (batches of 256,
+// 256 and 88), 1024 x 64 fleet_10k's (one 64-row batch). Serial, so the
+// row measures per-node cost (items = node evaluations), not the pool.
+void BM_EvaluateFleet(benchmark::State& state) {
+  const auto nodes = static_cast<std::size_t>(state.range(0));
+  const auto samples = static_cast<std::size_t>(state.range(1));
   data::CifarSynConfig config;
   config.nodes = 2;
-  config.samples_per_node = 40;
-  config.test_pool = 1200;
-  auto dataset = data::make_cifar_synthetic(config);
-  auto model = nn::make_compact_cifar_model(config.feature_dim);
+  config.samples_per_node = 4;
+  config.test_pool = 2 * samples;  // half of the pool is the test split
+  const auto dataset = data::make_cifar_synthetic(config);
+  auto prototype = nn::make_compact_cifar_model(config.feature_dim);
   util::Rng rng(8);
-  nn::initialize(model, rng);
-  const metrics::Evaluator evaluator(&dataset.test, 600);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluator.evaluate(model).accuracy);
+  nn::initialize(prototype, rng);
+  plane::RowArena rows(nodes, prototype.num_parameters());
+  for (std::size_t i = 0; i < nodes; ++i) {
+    const std::span<float> row = rows.row(i);
+    tensor::copy(prototype.parameter_arena(), row);
+    for (float& v : row) v += 0.05f * static_cast<float>(rng.normal());
   }
+  const metrics::Evaluator evaluator(&dataset.test, samples);
+  const util::ThreadPool::ScopedForceSerial serial;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        evaluator.evaluate_fleet(prototype, rows.view()).accuracy.mean);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(nodes));
 }
-BENCHMARK(BM_Evaluation);
+BENCHMARK(BM_EvaluateFleet)
+    ->Args({128, 600})
+    ->Args({1024, 64})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ShardPartition(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
@@ -762,7 +789,7 @@ int main(int argc, char** argv) {
   }
   if (quick) {
     args.insert(args.begin() + 1,
-                "--benchmark_filter=BM_Aggregate|BM_Gossip|BM_Codec|BM_Checkpoint|BM_Harvest|BM_Scenario|BM_Gemm(NN|NT|TN)(Blocked|Ref)|BM_Conv2d|BM_Obs|BM_CrcFrame|BM_FaultedGossip");
+                "--benchmark_filter=BM_Aggregate|BM_Gossip|BM_Codec|BM_Checkpoint|BM_Harvest|BM_Scenario|BM_Gemm(NN|NT|TN)(Blocked|Ref)|BM_Conv2d|BM_Obs|BM_CrcFrame|BM_FaultedGossip|BM_EvaluateFleet");
     args.insert(args.begin() + 1, "--benchmark_min_time=0.05");
   }
   const bool has_out =

@@ -33,7 +33,8 @@ class Evaluator {
   /// of `node_params` — the paper's "all-reduced model" metric (Fig. 1).
   /// `prototype` provides the architecture (cloned internally). The plane
   /// view form reads engine rows zero-copy; the vector form serves owned
-  /// snapshots.
+  /// snapshots. Throws std::invalid_argument for an empty list or rows
+  /// whose size is not prototype.num_parameters().
   EvalResult evaluate_average(const nn::Sequential& prototype,
                               plane::ConstMatrixView node_params) const;
   EvalResult evaluate_average(
@@ -42,6 +43,8 @@ class Evaluator {
 
   /// Per-node accuracies for a set of models, evaluated in parallel on the
   /// global thread pool. Returns mean/std summary plus raw accuracies.
+  /// Both fleet overloads compute top-1 only (nn::top1_correct, no loss);
+  /// each accuracy is bitwise evaluate(model).accuracy.
   struct FleetResult {
     util::Summary accuracy;
     std::vector<double> per_node;
@@ -66,8 +69,6 @@ class Evaluator {
 
   /// The evaluation sweep, cut into batch_size_ batches.
   std::vector<Batch> make_batches() const;
-  EvalResult evaluate(nn::Sequential& model,
-                      std::span<const Batch> batches) const;
 
   const data::Dataset* dataset_;
   std::size_t samples_;

@@ -112,7 +112,8 @@ class Layer {
   virtual Shape output_shape(const Shape& input_shape) const = 0;
 
   /// Computes output = f(input). `output` is pre-sized by the caller to
-  /// output_shape(input.shape()).
+  /// output_shape(input.shape()); its contents on entry are unspecified
+  /// (callers reuse buffers), so the layer writes every element.
   virtual void forward(const Tensor& input, Tensor& output) = 0;
 
   /// Accumulates parameter gradients and writes grad wrt input.

@@ -20,7 +20,16 @@ double log_sum_exp(const float* row, std::size_t n) {
   return static_cast<double>(max_val) + std::log(sum);
 }
 
-/// Release-grade input checks shared by both entry points: one label per
+/// Index of the first maximal entry of row[0, n): the shared top-1 rule.
+std::size_t predicted_class(const float* row, std::size_t n) {
+  std::size_t pred = 0;
+  for (std::size_t c = 1; c < n; ++c) {
+    if (row[c] > row[pred]) pred = c;
+  }
+  return pred;
+}
+
+/// Release-grade input checks shared by every entry point: one label per
 /// row, each in [0, classes). A bad label would otherwise index past the
 /// logits row.
 void check_labels(const char* who, std::size_t batch, std::size_t classes,
@@ -68,15 +77,13 @@ LossResult softmax_cross_entropy(const tensor::Tensor& logits,
     const double lse = log_sum_exp(row, classes);
     total_loss += lse - static_cast<double>(row[label]);
 
-    std::size_t pred = 0;
     for (std::size_t c = 0; c < classes; ++c) {
       const float p =
           static_cast<float>(std::exp(static_cast<double>(row[c]) - lse));
       grad[c] = p * inv_batch;
-      if (row[c] > row[pred]) pred = c;
     }
     grad[label] -= inv_batch;
-    if (pred == label) ++correct;
+    if (predicted_class(row, classes) == label) ++correct;
   }
 
   return LossResult{total_loss / static_cast<double>(batch),
@@ -96,14 +103,25 @@ LossResult softmax_cross_entropy_eval(const tensor::Tensor& logits,
     const auto label = static_cast<std::size_t>(labels[b]);
     const double lse = log_sum_exp(row, classes);
     total_loss += lse - static_cast<double>(row[label]);
-    std::size_t pred = 0;
-    for (std::size_t c = 1; c < classes; ++c) {
-      if (row[c] > row[pred]) pred = c;
-    }
-    if (pred == label) ++correct;
+    if (predicted_class(row, classes) == label) ++correct;
   }
   return LossResult{total_loss / static_cast<double>(batch),
                     static_cast<double>(correct) / static_cast<double>(batch)};
+}
+
+std::size_t top1_correct(const tensor::Tensor& logits,
+                         std::span<const std::int32_t> labels) {
+  const std::size_t batch = logits.dim(0);
+  const std::size_t classes = logits.numel() / batch;
+  check_labels("top1_correct", batch, classes, labels);
+  std::size_t correct = 0;
+  for (std::size_t b = 0; b < batch; ++b) {
+    const auto label = static_cast<std::size_t>(labels[b]);
+    if (predicted_class(logits.raw() + b * classes, classes) == label) {
+      ++correct;
+    }
+  }
+  return correct;
 }
 
 }  // namespace skiptrain::nn

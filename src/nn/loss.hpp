@@ -27,4 +27,11 @@ LossResult softmax_cross_entropy(const tensor::Tensor& logits,
 LossResult softmax_cross_entropy_eval(const tensor::Tensor& logits,
                                       std::span<const std::int32_t> labels);
 
+/// Number of rows of `logits` [B, C] whose prediction is their label: the
+/// top-1 count behind softmax_cross_entropy_eval's accuracy (the first
+/// maximal logit wins a tie; a NaN never beats the running maximum),
+/// without the loss. Same label checks as softmax_cross_entropy.
+std::size_t top1_correct(const tensor::Tensor& logits,
+                         std::span<const std::int32_t> labels);
+
 }  // namespace skiptrain::nn

@@ -97,16 +97,14 @@ const Tensor& Sequential::forward(const Tensor& input) {
   if (activations_.size() != layers_.size() ||
       forward_shape_ != input.shape()) {
     // New input shape (or a changed layer list): validate the chain and
-    // size every activation. Cleared first so a throw part-way leaves no
-    // stale match behind.
+    // size every activation, keeping its storage (an evaluation sweep
+    // alternates full and tail batch shapes). Cleared first so a throw
+    // part-way leaves no stale match behind.
     forward_shape_.clear();
     activations_.resize(layers_.size());
     const Shape* shape = &input.shape();
     for (std::size_t i = 0; i < layers_.size(); ++i) {
-      Shape out_shape = layers_[i]->output_shape(*shape);
-      if (activations_[i].shape() != out_shape) {
-        activations_[i] = Tensor(std::move(out_shape));
-      }
+      activations_[i].resize(layers_[i]->output_shape(*shape));
       shape = &activations_[i].shape();
     }
     forward_shape_ = input.shape();

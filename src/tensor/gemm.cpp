@@ -7,8 +7,12 @@
 //   * register-row kernels for gemm_nn / gemm_tn at the compact-MLP
 //     shapes (k, n <= kRowMax): no packing, one C row held in locals
 //     across the whole k extent;
-//   * the seed reference loops for other tiny or degenerate shapes;
-//   * the blocked kernels below for everything large.
+//   * the seed reference loops for other tiny or degenerate nn / tn
+//     shapes, and for gemm_nt below one register tile of rows (m < kMR)
+//     or past 64 Ki of depth;
+//   * the blocked kernels below for everything else. gemm_nt has no
+//     small-volume fallback: its edge tiles are zero-padded, so the
+//     10-wide and 62-wide classifier heads run the full register tile.
 //
 // Blocked kernel structure: B panels and A blocks are both repacked into
 // register-tile-wide slivers (kNR and kMR contiguous strips per k step),
@@ -192,7 +196,9 @@ thread_local PackScratch t_scratch;
 // is one contiguous strip. A blocks: sliver s holds the kMR rows
 // [i0, i0 + kMR) interleaved per p (dst[s * depth * kMR + p * kMR + r]),
 // so the per-p multiplier loads are contiguous too. Edge slivers pack
-// only their live lanes; the microkernels never read past mr/nr.
+// only their live lanes; the C-accumulating microkernels never read past
+// mr/nr. (gemm_nt packs its own slivers, zero-padded; see
+// gemm_nt_blocked.)
 // ---------------------------------------------------------------------------
 
 /// Packs `depth` rows x nc columns of row-major storage starting at src
@@ -348,31 +354,42 @@ template <bool kFull>
 }
 
 /// Register tile for gemm_nt: fresh dot accumulators over the whole k
-/// extent (p ascending — the reference op sequence), combined with beta
-/// only at the end. No zero skip: the reference dot loop has none.
-template <bool kFull>
+/// extent (p ascending — the reference op sequence). No zero skip: the
+/// reference dot loop has none. Both slivers are zero-padded to the full
+/// tile, so every tile runs all kMR x kNR lanes; each lane is its own
+/// accumulator, so the padding never touches a live one.
 [[gnu::always_inline]] inline void micro_nt(
-    std::size_t mr, std::size_t nr, std::size_t k, const float* __restrict__ ap,
-    const float* __restrict__ bp, float* __restrict__ c, std::size_t ldc,
-    float beta) {
-  const std::size_t rows = kFull ? kMR : mr;
-  const std::size_t cols = kFull ? kNR : nr;
-  float acc[kMR][kNR] = {};
+    std::size_t k, const float* __restrict__ ap, const float* __restrict__ bp,
+    float (&acc)[kMR][kNR]) {
+  for (std::size_t r = 0; r < kMR; ++r) {
+    for (std::size_t j = 0; j < kNR; ++j) acc[r][j] = 0.0f;
+  }
   for (std::size_t p = 0; p < k; ++p) {
     const float* __restrict__ arow = ap + p * kMR;
     const float* __restrict__ brow = bp + p * kNR;
-    for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t r = 0; r < kMR; ++r) {
       const float av = arow[r];
-      for (std::size_t j = 0; j < cols; ++j) acc[r][j] += av * brow[j];
+      for (std::size_t j = 0; j < kNR; ++j) acc[r][j] += av * brow[j];
     }
   }
+}
+
+/// Stores the live mr x nr lanes of a gemm_nt tile, combining with beta
+/// last, as the reference does.
+template <bool kFull>
+[[gnu::always_inline]] inline void store_nt_tile(
+    const float (&acc)[kMR][kNR], std::size_t mr, std::size_t nr,
+    float* __restrict__ c, std::size_t ldc, float beta) {
   if (beta == 0.0f) {
+    // Write-only C: never read (it may be uninitialized or NaN-poisoned).
     store_c_tile<kFull>(acc, mr, nr, c, ldc);
-  } else {
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t j = 0; j < cols; ++j) {
-        c[r * ldc + j] = beta * c[r * ldc + j] + acc[r][j];
-      }
+    return;
+  }
+  const std::size_t rows = kFull ? kMR : mr;
+  const std::size_t cols = kFull ? kNR : nr;
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      c[r * ldc + j] = beta * c[r * ldc + j] + acc[r][j];
     }
   }
 }
@@ -435,7 +452,8 @@ template <typename PackA>
   // one register accumulator per element), so k is not blocked; instead
   // both operands are repacked per panel — B transposed into kNR slivers,
   // the current kMR rows of A interleaved — with the B panel width chosen
-  // so the pack stays a few MB at most.
+  // so the pack stays a few MB at most. Edge slivers are zero-padded to
+  // the full tile.
   const std::size_t panel_target = (2u << 20) / sizeof(float);
   std::size_t nc_max =
       std::max<std::size_t>(panel_target / std::max<std::size_t>(k, 1), kNR);
@@ -444,7 +462,8 @@ template <typename PackA>
   float* ap = t_scratch.a.ensure_floats(k * kMR);
   for (std::size_t jc = 0; jc < n; jc += nc_max) {
     const std::size_t nc = std::min(nc_max, n - jc);
-    // B transpose pack: sliver s row p holds B[jc+s*kNR .. +w][p].
+    // B transpose pack: sliver s row p holds B[jc+s*kNR .. +w][p], then
+    // kNR - w zero lanes.
     for (std::size_t j0 = 0; j0 < nc; j0 += kNR) {
       const std::size_t w = std::min(kNR, nc - j0);
       float* __restrict__ out = bt + (j0 / kNR) * k * kNR;
@@ -453,32 +472,41 @@ template <typename PackA>
         float* __restrict__ o = out + jj;
         for (std::size_t p = 0; p < k; ++p) o[p * kNR] = brow[p];
       }
+      for (std::size_t jj = w; jj < kNR; ++jj) {
+        for (std::size_t p = 0; p < k; ++p) out[p * kNR + jj] = 0.0f;
+      }
     }
     for (std::size_t i0 = 0; i0 < m; i0 += kMR) {
       const std::size_t mr = std::min(kMR, m - i0);
-      // A transpose pack for this row sliver: arow p = A[i0..i0+mr][p].
-      for (std::size_t r = 0; r < mr; ++r) {
-        const float* __restrict__ src = a.data() + (i0 + r) * k;
+      // A transpose pack for this row sliver: arow p = A[i0..i0+mr][p],
+      // then kMR - mr zero rows.
+      for (std::size_t r = 0; r < kMR; ++r) {
         float* __restrict__ o = ap + r;
-        for (std::size_t p = 0; p < k; ++p) o[p * kMR] = src[p];
+        if (r < mr) {
+          const float* __restrict__ src = a.data() + (i0 + r) * k;
+          for (std::size_t p = 0; p < k; ++p) o[p * kMR] = src[p];
+        } else {
+          for (std::size_t p = 0; p < k; ++p) o[p * kMR] = 0.0f;
+        }
       }
       float* crow = c.data() + i0 * n + jc;
       for (std::size_t j0 = 0; j0 < nc; j0 += kNR) {
         const std::size_t nr = std::min(kNR, nc - j0);
-        const float* bsliver = bt + (j0 / kNR) * k * kNR;
+        float acc[kMR][kNR];
+        micro_nt(k, ap, bt + (j0 / kNR) * k * kNR, acc);
         if (mr == kMR && nr == kNR) {
-          micro_nt<true>(kMR, kNR, k, ap, bsliver, crow + j0, n, beta);
+          store_nt_tile<true>(acc, kMR, kNR, crow + j0, n, beta);
         } else {
-          micro_nt<false>(mr, nr, k, ap, bsliver, crow + j0, n, beta);
+          store_nt_tile<false>(acc, mr, nr, crow + j0, n, beta);
         }
       }
     }
   }
 }
 
-/// Below this work volume the packing overhead outweighs the locality win;
-/// both sides are bitwise identical, so the threshold is purely a perf
-/// knob.
+/// Below this work volume the packing overhead of the C-accumulating
+/// blocked kernels outweighs the locality win; both sides are bitwise
+/// identical, so the threshold is purely a perf knob.
 constexpr std::size_t kBlockedMinVolume = 32 * 1024;
 
 // ---------------------------------------------------------------------------
@@ -636,7 +664,9 @@ void gemm_nt(std::size_t m, std::size_t k, std::size_t n,
              std::span<float> c, float beta) {
   assert(a.size() >= m * k && b.size() >= n * k && c.size() >= m * n);
   note_gemm(m, k, n);
-  if (k == 0 || n < 4 || k > 65536 || m * k * n < kBlockedMinVolume) {
+  // Fewer rows than one tile cannot amortize the B pack, and past 64 Ki
+  // of depth the packed panel would outgrow its few-MB budget.
+  if (m < kMR || k > 65536) {
     gemm_nt_ref(m, k, n, a, b, c, beta);
     return;
   }

@@ -28,7 +28,9 @@
 // qualified unit-stride inner loops let the compiler vectorize. gemm_nn
 // and gemm_tn at k, n <= 64 (the compact MLPs every sweep trains) skip
 // packing and run register-row kernels under the same per-element
-// discipline; see gemm.cpp.
+// discipline. gemm_nt zero-pads its edge slivers and runs the full tile
+// on every shape of at least four rows (one register tile), storing
+// only the live lanes; see gemm.cpp.
 #pragma once
 
 #include <cstddef>
@@ -50,8 +52,8 @@ struct GemmTuning {
 
 // ---------------------------------------------------------------------------
 // Reference kernels: the seed loops, kept for verification and as the
-// fallback for tiny shapes outside the register-row path. Signatures
-// mirror tensor/ops.hpp.
+// fallback for tiny shapes outside the register-row and padded-tile
+// paths. Signatures mirror tensor/ops.hpp.
 // ---------------------------------------------------------------------------
 
 /// C[m,n] = A[m,k] * B[k,n] + beta * C  (seed i-k-j loop)

@@ -5,6 +5,7 @@
 // — the fast kernels must produce bitwise identical C.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -204,6 +205,71 @@ TEST(GemmSmall, CompactMlpShapesMatchReferenceBitwise) {
             expect_bitwise_equal(c, ref, variants[v].name, m, k, n, beta);
           }
         }
+      }
+    }
+  }
+}
+
+/// gemm_nt against gemm_nt_ref at (m, k, n) for beta 0 (C NaN-poisoned),
+/// 1 and 0.5, with C allocated past m x n: any padded lane of a partial
+/// register tile that reached C would show as a changed guard value or
+/// as a clobbered element of the next row. `plant` puts a NaN and an
+/// Inf in the last A row and in the last B row, the live rows of the
+/// edge tiles.
+void check_nt_shape(std::size_t m, std::size_t k, std::size_t n,
+                    std::uint64_t seed, bool plant) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  constexpr std::size_t kGuard = 64;
+  constexpr float kGuardValue = -7.25f;
+  util::Rng rng(seed);
+  std::vector<float> a(m * k), b(n * k), c_init(m * n);
+  rng.fill_normal(a, 0.0f, 1.0f);
+  rng.fill_normal(b, 0.0f, 1.0f);
+  rng.fill_normal(c_init, 0.0f, 1.0f);
+  if (plant && k >= 2) {
+    const std::size_t ra = m - 1, rb = n - 1;
+    a[ra * k + 0] = nan;
+    a[ra * k + k - 1] = inf;
+    b[rb * k + k / 2] = nan;
+    b[rb * k + k - 1] = -inf;
+  }
+  for (const float beta : {0.0f, 1.0f, 0.5f}) {
+    std::vector<float> c(m * n + kGuard, kGuardValue);
+    std::vector<float> ref(m * n + kGuard, kGuardValue);
+    std::copy(c_init.begin(), c_init.end(), c.begin());
+    std::copy(c_init.begin(), c_init.end(), ref.begin());
+    if (beta == 0.0f) std::fill(c.begin(), c.begin() + m * n, nan);
+    gemm_nt(m, k, n, a, b, c, beta);
+    gemm_nt_ref(m, k, n, a, b, ref, beta);
+    SCOPED_TRACE(::testing::Message() << "planted=" << plant);
+    expect_bitwise_equal(c, ref, "gemm_nt", m, k, n, beta);
+  }
+}
+
+// Every forward GEMM the compact MLPs run in evaluation and training:
+// Linear(in -> out) at m rows is gemm_nt(m, in, out). The m grid covers
+// fewer rows than one register tile (1, 3), one tile (4), the training
+// batch (16), fleet_10k-sized and tail eval batches (64, 88) and the
+// eval batch (256), plus 6 and 90 for a partial row tile; out = 10 and 62
+// leave partial column tiles, and n from 1 to 9 sweeps every partial
+// width.
+TEST(GemmSmall, ForwardShapesWithPaddedEdgeTilesMatchReferenceBitwise) {
+  struct LinearShape {
+    std::size_t in, out;
+  };
+  const LinearShape layers[] = {{64, 32}, {32, 10}, {64, 48}, {48, 62}};
+  const std::size_t rows[] = {1, 3, 4, 6, 16, 64, 88, 90, 256};
+  std::uint64_t seed = 300;
+  for (const std::size_t m : rows) {
+    for (const LinearShape& layer : layers) {
+      for (const bool plant : {false, true}) {
+        check_nt_shape(m, layer.in, layer.out, ++seed, plant);
+      }
+    }
+    for (std::size_t n = 1; n <= 9; ++n) {
+      for (const bool plant : {false, true}) {
+        check_nt_shape(m, 32, n, ++seed, plant);
       }
     }
   }

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "core/scheduler.hpp"
@@ -229,6 +230,137 @@ TEST(Evaluator, RowFleetRejectsMismatchedRows) {
           plane::ConstMatrixView{rows.data(), 3,
                                  prototype.num_parameters() + 1}),
       std::invalid_argument);
+}
+
+/// Node models whose logits hit every branch of the top-1 rule: trained-
+/// like random rows, an all-zero row (every logit tied), two classes
+/// with identical output weights (an exact tie between them), and NaN
+/// logits in front of and among the others. The two fleet overloads
+/// and evaluate(model).accuracy — the softmax_cross_entropy_eval path —
+/// must agree bit for bit on each, over a sweep with a partial batch.
+void expect_fleet_top1_matches_loss_eval(const data::FederatedData& data,
+                                         nn::Sequential prototype) {
+  util::Rng rng(21);
+  nn::initialize(prototype, rng);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::size_t dim = prototype.num_parameters();
+  auto& head = dynamic_cast<nn::Linear&>(
+      prototype.layer(prototype.num_layers() - 1));
+  const std::size_t classes = head.out_features();
+  const std::size_t in = head.in_features();
+  const std::size_t head_offset = dim - head.parameter_count();
+
+  std::vector<std::vector<float>> params;
+  for (int noisy = 0; noisy < 3; ++noisy) {
+    std::vector<float> row = prototype.parameters_flat();
+    for (float& v : row) v += 0.3f * static_cast<float>(rng.normal());
+    params.push_back(std::move(row));
+  }
+  params.emplace_back(dim, 0.0f);
+  {
+    std::vector<float> row = params[0];
+    float* w = row.data() + head_offset;
+    float* bias = w + classes * in;
+    std::copy(w + 1 * in, w + 2 * in, w + 4 * in);
+    bias[4] = bias[1];
+    params.push_back(std::move(row));
+  }
+  for (const std::size_t nan_class : {std::size_t{0}, classes / 2}) {
+    std::vector<float> row = params[1];
+    row[head_offset + classes * in + nan_class] = nan;
+    params.push_back(std::move(row));
+  }
+  const std::size_t n = params.size();
+  std::vector<float> flat;
+  for (const auto& row : params) {
+    flat.insert(flat.end(), row.begin(), row.end());
+  }
+
+  const Evaluator evaluator(&data.test, 600);
+  ASSERT_EQ(evaluator.samples_used(), 600u);  // 256 + 256 + 88
+  std::vector<nn::Sequential> models;
+  for (const auto& row : params) {
+    models.push_back(prototype.clone());
+    models.back().set_parameters(row);
+  }
+  std::vector<nn::Sequential*> pointers;
+  for (nn::Sequential& model : models) pointers.push_back(&model);
+  const auto by_rows = evaluator.evaluate_fleet(
+      prototype, plane::ConstMatrixView{flat.data(), n, dim});
+  const auto by_pointers = evaluator.evaluate_fleet(pointers);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double want = evaluator.evaluate(models[i]).accuracy;
+    EXPECT_EQ(by_rows.per_node[i], want) << "rows, node " << i;
+    EXPECT_EQ(by_pointers.per_node[i], want) << "pointers, node " << i;
+  }
+  // The NaN-headed node predicts class 0 for every sample, the same as
+  // the all-zero node whose logits all tie.
+  EXPECT_EQ(by_rows.per_node[n - 2], by_rows.per_node[3]);
+}
+
+TEST(Evaluator, FleetTop1MatchesLossEvalBitwise) {
+  {
+    SCOPED_TRACE("compact CIFAR");
+    data::CifarSynConfig config;
+    config.nodes = 4;
+    config.samples_per_node = 20;
+    config.test_pool = 1200;
+    expect_fleet_top1_matches_loss_eval(
+        data::make_cifar_synthetic(config),
+        nn::make_compact_cifar_model(config.feature_dim));
+  }
+  {
+    SCOPED_TRACE("compact FEMNIST");
+    data::FemnistSynConfig config;
+    config.nodes = 4;
+    config.mean_samples_per_node = 20;
+    config.test_pool = 1200;
+    expect_fleet_top1_matches_loss_eval(
+        data::make_femnist_synthetic(config),
+        nn::make_compact_femnist_model(config.feature_dim));
+  }
+}
+
+TEST(Evaluator, FleetRejectsBadEvalLabelsInEveryBuildType) {
+  // Plain EXPECT_THROW: the label check must survive Release, on both
+  // fleet paths, and reach the caller from the pool's workers.
+  data::Dataset dataset = tiny_dataset();
+  dataset.labels[2] = 2;  // the model has two classes
+  const Evaluator evaluator(&dataset);
+  std::vector<nn::Sequential> models;
+  for (int i = 0; i < 3; ++i) models.push_back(perfect_model());
+  std::vector<nn::Sequential*> pointers;
+  std::vector<float> rows;
+  for (nn::Sequential& model : models) {
+    pointers.push_back(&model);
+    const std::vector<float> row = model.parameters_flat();
+    rows.insert(rows.end(), row.begin(), row.end());
+  }
+  EXPECT_THROW((void)evaluator.evaluate_fleet(pointers),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)evaluator.evaluate_fleet(
+          models[0], plane::ConstMatrixView{rows.data(), 3,
+                                            models[0].num_parameters()}),
+      std::invalid_argument);
+}
+
+TEST(Evaluator, EvaluateAverageRejectsRowsOfTheWrongSize) {
+  const data::Dataset dataset = tiny_dataset();
+  const Evaluator evaluator(&dataset);
+  const nn::Sequential prototype = perfect_model();
+  const std::size_t dim = prototype.num_parameters();
+  for (const std::size_t wrong : {dim - 1, dim + 1}) {
+    SCOPED_TRACE(::testing::Message() << "row size " << wrong);
+    const std::vector<std::vector<float>> owned(2,
+                                                std::vector<float>(wrong));
+    EXPECT_THROW((void)evaluator.evaluate_average(prototype, owned),
+                 std::invalid_argument);
+    const std::vector<float> flat(2 * wrong, 0.0f);
+    EXPECT_THROW((void)evaluator.evaluate_average(
+                     prototype, plane::ConstMatrixView{flat.data(), 2, wrong}),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Evaluator, EmptyDatasetThrows) {

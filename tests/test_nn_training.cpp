@@ -1,9 +1,11 @@
 // End-to-end single-model training: the nn substrate must actually learn.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/init.hpp"
@@ -212,6 +214,31 @@ TEST(Loss, EvalMatchesTrainPath) {
   EXPECT_DOUBLE_EQ(train.accuracy, eval.accuracy);
 }
 
+TEST(Loss, Top1CorrectIsTheEvalAccuracyCountWithTiesAndNaN) {
+  // Rows and their predictions: a plain row (2), an exact tie between
+  // classes 1 and 3 (the first maximum wins: 1), an all-equal row (0), a
+  // NaN in front (nothing compares greater than NaN: 0), and a NaN after
+  // the maximum (skipped: 2).
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float rows[5][4] = {{0.5f, -0.25f, 3.0f, 1.0f},
+                            {-1.0f, 2.5f, -1.0f, 2.5f},
+                            {0.75f, 0.75f, 0.75f, 0.75f},
+                            {nan, 1.0f, 2.0f, 3.0f},
+                            {0.0f, 0.0f, 9.0f, nan}};
+  tensor::Tensor logits({5, 4});
+  for (std::size_t r = 0; r < 5; ++r) {
+    for (std::size_t c = 0; c < 4; ++c) logits.at(r, c) = rows[r][c];
+  }
+  const std::pair<std::vector<std::int32_t>, std::size_t> cases[] = {
+      {{2, 1, 0, 0, 2}, 5}, {{2, 3, 0, 0, 2}, 4}, {{0, 1, 1, 3, 3}, 1}};
+  for (const auto& [labels, want] : cases) {
+    const std::size_t correct = top1_correct(logits, labels);
+    EXPECT_EQ(correct, want);
+    EXPECT_EQ(static_cast<double>(correct) / 5.0,
+              softmax_cross_entropy_eval(logits, labels).accuracy);
+  }
+}
+
 TEST(Loss, PerfectPredictionLowLoss) {
   tensor::Tensor logits({1, 2});
   logits.at(0, 0) = 20.0f;
@@ -227,20 +254,27 @@ TEST(Loss, BadLabelsAreCheckedErrorsInEveryBuildType) {
   // so the Release build the suite runs in must reject these too.
   tensor::Tensor logits({3, 4});
   tensor::Tensor grad({3, 4});
+  enum class Entry { kTrain, kEval, kTop1 };
   const auto message = [&](std::span<const std::int32_t> labels,
-                           bool with_grad) -> std::string {
+                           Entry entry) -> std::string {
     try {
-      if (with_grad) {
-        (void)softmax_cross_entropy(logits, labels, grad);
-      } else {
-        (void)softmax_cross_entropy_eval(logits, labels);
+      switch (entry) {
+        case Entry::kTrain:
+          (void)softmax_cross_entropy(logits, labels, grad);
+          break;
+        case Entry::kEval:
+          (void)softmax_cross_entropy_eval(logits, labels);
+          break;
+        case Entry::kTop1:
+          (void)top1_correct(logits, labels);
+          break;
       }
     } catch (const std::invalid_argument& e) {
       return e.what();
     }
     return "";
   };
-  for (const bool with_grad : {true, false}) {
+  for (const Entry with_grad : {Entry::kTrain, Entry::kEval, Entry::kTop1}) {
     const std::string high = message(std::vector<std::int32_t>{0, 4, 1},
                                      with_grad);
     EXPECT_NE(high.find("row 1"), std::string::npos) << high;

@@ -19,12 +19,14 @@
 #include "data/synthetic.hpp"
 #include "energy/accountant.hpp"
 #include "graph/sparse.hpp"
+#include "metrics/evaluator.hpp"
 #include "nn/init.hpp"
 #include "nn/model_zoo.hpp"
 #include "plane/plane.hpp"
 #include "sim/engine.hpp"
 #include "sim/node.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -172,6 +174,47 @@ TEST(TrainAlloc, EngineBuildAllocatesAtMostOncePerNode) {
   ASSERT_GE(large, small);
   EXPECT_LE(large - small, 512u - 64u)
       << "64 nodes: " << small << " allocations, 512 nodes: " << large;
+}
+
+/// Allocations made by one row-based evaluate_fleet call over the first
+/// `nodes` rows of `rows`, after a warm-up call has sized the per-thread
+/// GEMM scratch.
+std::uint64_t fleet_eval_allocations(const metrics::Evaluator& evaluator,
+                                     const nn::Sequential& prototype,
+                                     const plane::RowArena& rows,
+                                     std::size_t nodes) {
+  const plane::ConstMatrixView all = rows.view();
+  const plane::ConstMatrixView view{all.data, nodes, all.dim};
+  (void)evaluator.evaluate_fleet(prototype, view);
+  const std::uint64_t before = allocations();
+  const auto result = evaluator.evaluate_fleet(prototype, view);
+  const std::uint64_t made = allocations() - before;
+  EXPECT_EQ(result.per_node.size(), nodes);
+  return made;
+}
+
+TEST(TrainAlloc, FleetEvaluationAllocatesPerCallNotPerNode) {
+  // 600 samples at the default batch of 256: the shell switches between
+  // the 256-row and the 88-row batch shape, which must not cost an
+  // allocation per node. Serial, so the pool's task-queue blocks (one
+  // every few calls, whatever the row count) stay out of the count.
+  const util::ThreadPool::ScopedForceSerial serial;
+  data::CifarSynConfig config;
+  config.nodes = 2;
+  config.samples_per_node = 4;
+  config.test_pool = 1200;
+  const data::FederatedData data = data::make_cifar_synthetic(config);
+  nn::Sequential prototype = nn::make_compact_cifar_model(config.feature_dim);
+  util::Rng rng(8);
+  nn::initialize(prototype, rng);
+  plane::RowArena rows(512, prototype.num_parameters());
+  for (std::size_t i = 0; i < rows.rows(); ++i) {
+    tensor::copy(prototype.parameter_arena(), rows.row(i));
+  }
+  const metrics::Evaluator evaluator(&data.test, 600);
+  ASSERT_EQ(evaluator.samples_used(), 600u);
+  EXPECT_EQ(fleet_eval_allocations(evaluator, prototype, rows, 64),
+            fleet_eval_allocations(evaluator, prototype, rows, 512));
 }
 
 }  // namespace
