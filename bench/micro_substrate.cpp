@@ -7,7 +7,7 @@
 // --benchmark_out=...) so CI records the gossip-kernel perf trajectory
 // per PR. `--quick` runs the aggregate-phase, large-fleet sharded-gossip,
 // exchange-codec, fleet-checkpoint, scenario/harvest, kernel-layer GEMM,
-// Conv2d and fleet-evaluation grids at a short min-time — the mode the
+// Conv2d, fleet-evaluation and dataset-build grids at a short min-time — the mode the
 // CI Release job uses; the GEMM/Conv/Gossip rows feed the bench
 // regression gate (tools/check_bench_regression.py).
 #include <benchmark/benchmark.h>
@@ -729,6 +729,40 @@ BENCHMARK(BM_EvaluateFleet)
     ->Args({1024, 64})
     ->Unit(benchmark::kMillisecond);
 
+// Synthetic dataset build at large_fleet's data shape (args are
+// {nodes}: 8 samples a node, 64 features, a 400-sample test pool) on the
+// global pool, the way a sweep's set-up runs it. Runs under --quick.
+enum class SynDataset { kCifar, kFemnist };
+
+void BM_DatasetBuild(benchmark::State& state, SynDataset dataset) {
+  const auto nodes = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    if (dataset == SynDataset::kCifar) {
+      data::CifarSynConfig config;
+      config.nodes = nodes;
+      config.samples_per_node = 8;
+      config.test_pool = 400;
+      benchmark::DoNotOptimize(data::make_cifar_synthetic(config));
+    } else {
+      data::FemnistSynConfig config;
+      config.nodes = nodes;
+      config.mean_samples_per_node = 8;
+      config.test_pool = 400;
+      benchmark::DoNotOptimize(data::make_femnist_synthetic(config));
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(nodes));
+}
+BENCHMARK_CAPTURE(BM_DatasetBuild, cifar, SynDataset::kCifar)
+    ->Arg(10000)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_DatasetBuild, femnist, SynDataset::kFemnist)
+    ->Arg(10000)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
 void BM_ShardPartition(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
   std::vector<std::int32_t> labels(nodes * 200);
@@ -789,7 +823,7 @@ int main(int argc, char** argv) {
   }
   if (quick) {
     args.insert(args.begin() + 1,
-                "--benchmark_filter=BM_Aggregate|BM_Gossip|BM_Codec|BM_Checkpoint|BM_Harvest|BM_Scenario|BM_Gemm(NN|NT|TN)(Blocked|Ref)|BM_Conv2d|BM_Obs|BM_CrcFrame|BM_FaultedGossip|BM_EvaluateFleet");
+                "--benchmark_filter=BM_Aggregate|BM_Gossip|BM_Codec|BM_Checkpoint|BM_Harvest|BM_Scenario|BM_Gemm(NN|NT|TN)(Blocked|Ref)|BM_Conv2d|BM_Obs|BM_CrcFrame|BM_FaultedGossip|BM_EvaluateFleet|BM_DatasetBuild");
     args.insert(args.begin() + 1, "--benchmark_min_time=0.05");
   }
   const bool has_out =

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <stdexcept>
 
 #include "data/partition.hpp"
+#include "util/thread_pool.hpp"
 
 namespace skiptrain::data {
 
@@ -68,6 +71,39 @@ Dataset make_iid_pool(util::Rng& rng, std::span<const float> prototypes,
   return pool;
 }
 
+/// Runs body(rng, lo, hi) over [0, items) split into one contiguous
+/// chunk per global-pool worker, where each item draws exactly
+/// `normals_per_item` normals from `rng`. A serial pass records every
+/// chunk's start state with discard_normals, so each chunk sees the very
+/// stream the one-chunk loop would, and `rng` ends where that loop leaves
+/// it: the bytes never depend on the chunking. Where the pool's loops run
+/// serially anyway (ScopedForceSerial, a call from a pool worker, a
+/// one-thread pool) there is one chunk, run on `rng` itself with no pass.
+template <typename Body>
+void generate_in_chunks(util::Rng& rng, std::size_t items,
+                        std::size_t normals_per_item, Body&& body) {
+  const util::ThreadPool& pool = util::ThreadPool::global();
+  const std::size_t chunks =
+      util::ThreadPool::force_serial_active() || pool.on_worker_thread()
+          ? 1
+          : std::min(pool.size(), items);
+  if (chunks <= 1) {
+    body(rng, std::size_t{0}, items);
+    return;
+  }
+  const auto bound = [&](std::size_t c) { return items * c / chunks; };
+  std::vector<util::Rng::State> starts(chunks);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    starts[c] = rng.state();
+    rng.discard_normals((bound(c + 1) - bound(c)) * normals_per_item);
+  }
+  util::parallel_for(0, chunks, [&](std::size_t c) {
+    util::Rng chunk_rng;
+    chunk_rng.set_state(starts[c]);
+    body(chunk_rng, bound(c), bound(c + 1));
+  });
+}
+
 }  // namespace
 
 FederatedData make_cifar_synthetic(const CifarSynConfig& config) {
@@ -89,12 +125,17 @@ FederatedData make_cifar_synthetic(const CifarSynConfig& config) {
   out.train.features = tensor::Tensor({n, config.feature_dim});
   out.train.labels.resize(n);
   out.train.num_classes = config.num_classes;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t cls = i % config.num_classes;
-    emit_sample(train_rng, prototypes, config.feature_dim, cls, nullptr,
-                out.train.features.raw() + i * config.feature_dim);
-    out.train.labels[i] = static_cast<std::int32_t>(cls);
-  }
+  // Each sample draws exactly feature_dim normals (emit_sample, no style).
+  generate_in_chunks(
+      train_rng, n, config.feature_dim,
+      [&](util::Rng& rng, std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          const std::size_t cls = i % config.num_classes;
+          emit_sample(rng, prototypes, config.feature_dim, cls, nullptr,
+                      out.train.features.raw() + i * config.feature_dim);
+          out.train.labels[i] = static_cast<std::int32_t>(cls);
+        }
+      });
   apply_label_noise(train_rng, out.train.labels, config.num_classes,
                     config.label_noise);
 
@@ -113,6 +154,10 @@ FederatedData make_cifar_synthetic(const CifarSynConfig& config) {
 }
 
 FederatedData make_femnist_synthetic(const FemnistSynConfig& config) {
+  if (config.mean_samples_per_node == 0) {
+    throw std::invalid_argument(
+        "make_femnist_synthetic: mean_samples_per_node must be >= 1");
+  }
   util::Rng master(config.seed);
   util::Rng proto_rng = master.fork(11);
   util::Rng writer_rng = master.fork(12);
@@ -127,52 +172,64 @@ FederatedData make_femnist_synthetic(const FemnistSynConfig& config) {
   out.train.num_classes = config.num_classes;
 
   // Per-writer sample counts: FEMNIST's top-256 writers have skewed sizes;
-  // we draw from a clamped lognormal around the configured mean.
+  // we draw from a clamped lognormal around the configured mean. The
+  // lower clamp is mean/2, but at least one sample: an empty shard has
+  // nothing to train on.
   std::vector<std::size_t> counts(config.nodes);
-  std::size_t total = 0;
   for (auto& count : counts) {
     const double factor = std::exp(writer_rng.normal(0.0, 0.35));
     const double mean = static_cast<double>(config.mean_samples_per_node);
     count = static_cast<std::size_t>(
-        std::clamp(mean * factor, mean * 0.5, mean * 2.0));
-    total += count;
+        std::clamp(mean * factor, std::max(1.0, mean * 0.5), mean * 2.0));
   }
+  // Writer w's samples start at offsets[w]: writers fill disjoint rows.
+  std::vector<std::size_t> offsets(config.nodes + 1, 0);
+  std::partial_sum(counts.begin(), counts.end(), offsets.begin() + 1);
+  const std::size_t total = offsets.back();
 
   out.train.features = tensor::Tensor({total, config.feature_dim});
   out.train.labels.resize(total);
   out.node_indices.resize(config.nodes);
 
-  std::vector<float> style(config.feature_dim);
-  std::size_t cursor = 0;
-  for (std::size_t node = 0; node < config.nodes; ++node) {
-    util::Rng rng = writer_rng.fork(node);
-    rng.fill_normal(style, 0.0f, static_cast<float>(config.writer_style_sigma));
+  // Writer `node` draws only from the const fork writer_rng.fork(node),
+  // so writers build in parallel, bit for bit.
+  const auto build_writers = [&](std::size_t lo, std::size_t hi) {
+    std::vector<float> style(config.feature_dim);
+    std::vector<double> cumulative(config.num_classes);
+    for (std::size_t node = lo; node < hi; ++node) {
+      util::Rng rng = writer_rng.fork(node);
+      rng.fill_normal(style, 0.0f,
+                      static_cast<float>(config.writer_style_sigma));
 
-    // Near-homogeneous class mixture: every writer covers most classes
-    // (this is what keeps FEMNIST "mild" non-IID in the paper's Figure 7).
-    const std::vector<double> mixture =
-        dirichlet_weights(rng, config.class_mixture_alpha, config.num_classes);
-    std::vector<double> cumulative(mixture.size());
-    double acc = 0.0;
-    for (std::size_t c = 0; c < mixture.size(); ++c) {
-      acc += mixture[c];
-      cumulative[c] = acc;
-    }
+      // Near-homogeneous class mixture: every writer covers most classes
+      // (this is what keeps FEMNIST "mild" non-IID in the paper's
+      // Figure 7).
+      const std::vector<double> mixture = dirichlet_weights(
+          rng, config.class_mixture_alpha, config.num_classes);
+      double acc = 0.0;
+      for (std::size_t c = 0; c < mixture.size(); ++c) {
+        acc += mixture[c];
+        cumulative[c] = acc;
+      }
 
-    out.node_indices[node].reserve(counts[node]);
-    for (std::size_t s = 0; s < counts[node]; ++s) {
-      const double u = rng.uniform();
-      const std::size_t cls = static_cast<std::size_t>(
-          std::lower_bound(cumulative.begin(), cumulative.end(), u) -
-          cumulative.begin());
-      const std::size_t clamped = std::min(cls, config.num_classes - 1);
-      emit_sample(rng, prototypes, config.feature_dim, clamped, style.data(),
-                  out.train.features.raw() + cursor * config.feature_dim);
-      out.train.labels[cursor] = static_cast<std::int32_t>(clamped);
-      out.node_indices[node].push_back(cursor);
-      ++cursor;
+      std::vector<std::size_t>& indices = out.node_indices[node];
+      indices.resize(counts[node]);
+      std::iota(indices.begin(), indices.end(), offsets[node]);
+      for (const std::size_t row : indices) {
+        const double u = rng.uniform();
+        const std::size_t cls = static_cast<std::size_t>(
+            std::lower_bound(cumulative.begin(), cumulative.end(), u) -
+            cumulative.begin());
+        const std::size_t clamped = std::min(cls, config.num_classes - 1);
+        emit_sample(rng, prototypes, config.feature_dim, clamped,
+                    style.data(),
+                    out.train.features.raw() + row * config.feature_dim);
+        out.train.labels[row] = static_cast<std::int32_t>(clamped);
+      }
     }
-  }
+  };
+  util::ThreadPool::global().parallel_for_chunks(0, config.nodes,
+                                                 build_writers);
   apply_label_noise(writer_rng, out.train.labels, config.num_classes,
                     config.label_noise);
 

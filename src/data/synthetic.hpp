@@ -15,6 +15,11 @@
 //
 // Class difficulty is controlled by `class_separation` (distance between
 // class prototypes in units of the noise sigma) and `label_noise`.
+//
+// Both builders generate their training sets across the global thread
+// pool (CIFAR in contiguous sample chunks, FEMNIST writer by writer), and
+// the output is bit-identical at any thread count, serial included: the
+// bytes depend on the config alone.
 #pragma once
 
 #include <cstddef>
@@ -55,7 +60,8 @@ struct FemnistSynConfig {
 [[nodiscard]] FederatedData make_cifar_synthetic(const CifarSynConfig& config);
 
 /// Builds the synthetic FEMNIST workload with the natural per-writer
-/// partition. Deterministic in `config.seed`.
+/// partition. Deterministic in `config.seed`. Every writer gets at least
+/// one sample; throws std::invalid_argument if mean_samples_per_node is 0.
 [[nodiscard]] FederatedData make_femnist_synthetic(
     const FemnistSynConfig& config);
 

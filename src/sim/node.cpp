@@ -1,6 +1,8 @@
 #include "sim/node.hpp"
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "nn/loss.hpp"
@@ -11,7 +13,14 @@ namespace skiptrain::sim {
 Node::Node(std::size_t node_id, data::DatasetView shard, std::uint64_t seed)
     : id(node_id),
       data(std::move(shard)),
-      rng(util::hash_combine(seed, 0x0de50000ULL + node_id)) {}
+      rng(util::hash_combine(seed, 0x0de50000ULL + node_id)) {
+  // sample_batch has no sample to draw from an empty shard; catch it here,
+  // where both engines build their nodes, in every build type.
+  if (data.empty()) {
+    throw std::invalid_argument("node " + std::to_string(node_id) +
+                                " has an empty data shard");
+  }
+}
 
 namespace {
 

@@ -22,6 +22,7 @@
 namespace skiptrain::sim {
 
 struct Node {
+  /// Throws std::invalid_argument, naming the node, if `shard` is empty.
   Node(std::size_t node_id, data::DatasetView shard, std::uint64_t seed);
 
   /// Executes E steps of plain mini-batch SGD on the local shard

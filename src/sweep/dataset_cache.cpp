@@ -3,12 +3,14 @@
 #include "data/synthetic.hpp"
 #include "nn/init.hpp"
 #include "nn/model_zoo.hpp"
+#include "obs/trace.hpp"
 #include "util/rng.hpp"
 
 namespace skiptrain::sweep {
 
 std::shared_ptr<const SharedWorkload> build_workload(
     const DataConfig& config) {
+  OBS_SPAN("data.build");
   auto workload = std::make_shared<SharedWorkload>();
   workload->workload = workload_for(config.dataset);
   if (workload->workload == energy::Workload::kCifar10) {

@@ -76,17 +76,34 @@ double Rng::normal() {
     has_cached_normal_ = false;
     return cached_normal_;
   }
-  // Box–Muller; u1 in (0,1] avoids log(0).
-  double u1 = 0.0;
-  do {
-    u1 = uniform();
-  } while (u1 <= 0.0);
-  const double u2 = uniform();
+  const auto [u1, u2] = box_muller_uniforms();
   const double radius = std::sqrt(-2.0 * std::log(u1));
   const double theta = 2.0 * std::numbers::pi * u2;
   cached_normal_ = radius * std::sin(theta);
   has_cached_normal_ = true;
   return radius * std::cos(theta);
+}
+
+std::pair<double, double> Rng::box_muller_uniforms() {
+  double u1 = 0.0;
+  do {
+    u1 = uniform();
+  } while (u1 <= 0.0);
+  return {u1, uniform()};
+}
+
+void Rng::discard_normals(std::uint64_t count) {
+  if (count != 0 && has_cached_normal_) {
+    has_cached_normal_ = false;
+    --count;
+  }
+  if (count == 0) return;
+  // Every pair but the last only consumes its uniforms. The last runs in
+  // full: its sine half is the cache normal() leaves behind, pending for
+  // an odd count and spent (but still in State) for an even one.
+  for (; count > 2; count -= 2) (void)box_muller_uniforms();
+  (void)normal();
+  if (count == 2) (void)normal();
 }
 
 double Rng::normal(double mean, double stddev) {

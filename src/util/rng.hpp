@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace skiptrain::util {
@@ -70,6 +71,15 @@ class Rng {
   /// Normal with given mean / stddev.
   double normal(double mean, double stddev);
 
+  /// Advances the stream exactly as `count` calls to normal() would, so
+  /// state() afterwards is equal field for field: the Box–Muller u1
+  /// rejection loop and the cached second half of a pair included. Only
+  /// the last pair does the log/sqrt/sin/cos work (its sine half is the
+  /// cache normal() leaves); every other pair just consumes its uniforms.
+  /// Lets a serial pass record where each chunk of a long normal stream
+  /// begins, so the chunks can be generated in parallel bit for bit.
+  void discard_normals(std::uint64_t count);
+
   /// Fills `out` with i.i.d. N(mean, stddev) floats.
   void fill_normal(std::span<float> out, float mean, float stddev);
 
@@ -107,6 +117,10 @@ class Rng {
   void set_state(const State& state);
 
  private:
+  /// The u1, u2 uniforms one Box–Muller pair consumes; u1 in (0,1]
+  /// avoids log(0). The one rule for how many draws a normal() uses.
+  std::pair<double, double> box_muller_uniforms();
+
   std::uint64_t s_[4];
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;

@@ -66,6 +66,19 @@ TEST(AsyncEngine, ClockAdvancesAndActivationsHappen) {
   EXPECT_EQ(engine.total_trainings(), engine.total_activations());
 }
 
+TEST(AsyncEngine, EmptyNodeShardThrowsInEveryBuildType) {
+  AsyncFixture fixture;
+  fixture.data.node_indices[0].clear();
+  const core::DpsgdScheduler scheduler;
+  try {
+    (void)fixture.make_engine(scheduler, std::vector<double>(12, 1.0));
+    FAIL() << "an engine was built over an empty shard";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("node 0"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(AsyncEngine, FasterNodesActivateMoreOften) {
   AsyncFixture fixture;
   const core::DpsgdScheduler scheduler;

@@ -1,14 +1,26 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <cstring>
 #include <set>
+#include <stdexcept>
 
 #include "data/dataset.hpp"
 #include "data/distribution.hpp"
 #include "data/partition.hpp"
 #include "data/synthetic.hpp"
+#include "util/thread_pool.hpp"
 
 namespace skiptrain::data {
 namespace {
+
+// The parallel-build tests compare the 4-worker global pool against a
+// serial build. The global pool reads SKIPTRAIN_THREADS once, on first
+// use; this runs during static initialization, before any test does.
+const bool kPoolSized = [] {
+  setenv("SKIPTRAIN_THREADS", "4", /*overwrite=*/1);  // NOLINT(concurrency-mt-unsafe)
+  return true;
+}();
 
 std::vector<std::int32_t> cyclic_labels(std::size_t n, std::size_t classes) {
   std::vector<std::int32_t> labels(n);
@@ -294,6 +306,112 @@ TEST(FemnistSynthetic, MoreHomogeneousThanCifar) {
   }
   mean_distinct /= static_cast<double>(distinct_femnist.size());
   EXPECT_GT(mean_distinct, 20.0);
+}
+
+TEST(FemnistSynthetic, RejectsZeroMeanSamples) {
+  FemnistSynConfig config = small_femnist();
+  config.mean_samples_per_node = 0;
+  EXPECT_THROW((void)make_femnist_synthetic(config), std::invalid_argument);
+}
+
+TEST(FemnistSynthetic, MeanOfOneSampleLeavesNoWriterEmpty) {
+  // Without the count's floor of one, the lognormal factor truncates 9
+  // of these 16 writers to 0 samples.
+  FemnistSynConfig config = small_femnist();
+  config.mean_samples_per_node = 1;
+  const FederatedData data = make_femnist_synthetic(config);
+  ASSERT_EQ(data.num_nodes(), 16u);
+  for (const auto& node : data.node_indices) {
+    EXPECT_GE(node.size(), 1u);
+    EXPECT_LE(node.size(), 2u);
+  }
+  validate_partition(data.node_indices, data.train.size());
+}
+
+// --- Parallel build --------------------------------------------------------
+
+void expect_same_dataset(const Dataset& a, const Dataset& b) {
+  ASSERT_EQ(a.features.shape(), b.features.shape());
+  EXPECT_EQ(std::memcmp(a.features.raw(), b.features.raw(),
+                        a.features.numel() * sizeof(float)),
+            0);
+  EXPECT_EQ(a.labels, b.labels);
+  EXPECT_EQ(a.num_classes, b.num_classes);
+}
+
+void expect_same_data(const FederatedData& a, const FederatedData& b) {
+  expect_same_dataset(a.train, b.train);
+  expect_same_dataset(a.validation, b.validation);
+  expect_same_dataset(a.test, b.test);
+  EXPECT_EQ(a.node_indices, b.node_indices);
+}
+
+template <typename Config, typename Build>
+void expect_parallel_matches_serial(Config config, Build build) {
+  ASSERT_EQ(util::ThreadPool::global().size(), 4u);
+  // 13 nodes split across 4 workers leaves uneven chunks; an odd feature
+  // dimension puts chunk boundaries in the middle of a Box–Muller pair.
+  config.nodes = 13;
+  config.test_pool = 90;
+  for (const std::size_t dim : {63u, 64u}) {
+    SCOPED_TRACE("feature_dim " + std::to_string(dim));
+    config.feature_dim = dim;
+    const FederatedData parallel = build(config);
+    FederatedData serial;
+    {
+      const util::ThreadPool::ScopedForceSerial force_serial;
+      serial = build(config);
+    }
+    expect_same_data(parallel, serial);
+  }
+}
+
+TEST(Synthetic, ParallelBuildIsBitIdentical) {
+  CifarSynConfig cifar;
+  cifar.samples_per_node = 7;
+  expect_parallel_matches_serial(cifar, make_cifar_synthetic);
+  FemnistSynConfig femnist;
+  femnist.mean_samples_per_node = 9;
+  expect_parallel_matches_serial(femnist, make_femnist_synthetic);
+}
+
+/// FNV-1a over every byte a build returns.
+class Fnv {
+ public:
+  void add(const void* data, std::size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+      hash_ = (hash_ ^ p[i]) * 0x100000001b3ULL;
+    }
+  }
+  void add(const Dataset& dataset) {
+    add(dataset.features.raw(), dataset.features.numel() * sizeof(float));
+    add(dataset.labels.data(), dataset.labels.size() * sizeof(std::int32_t));
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+std::uint64_t digest(const FederatedData& data) {
+  Fnv fnv;
+  fnv.add(data.train);
+  fnv.add(data.validation);
+  fnv.add(data.test);
+  for (const auto& node : data.node_indices) {
+    fnv.add(node.data(), node.size() * sizeof(std::size_t));
+  }
+  return fnv.value();
+}
+
+TEST(Synthetic, OutputMatchesPinnedDigests) {
+  // Pinned from a build of the one-chunk serial loops: a drift of the
+  // random streams, serial or parallel, changes the bytes.
+  EXPECT_EQ(digest(make_cifar_synthetic(small_cifar())),
+            0x6fd74897d75787c5ULL);
+  EXPECT_EQ(digest(make_femnist_synthetic(small_femnist())),
+            0x30a54c4e156fc23eULL);
 }
 
 TEST(Distribution, RenderPlotSmoke) {

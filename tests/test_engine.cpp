@@ -321,6 +321,19 @@ TEST(Engine, MismatchedSizesThrow) {
                std::invalid_argument);
 }
 
+TEST(Engine, EmptyNodeShardThrowsInEveryBuildType) {
+  Fixture fixture(8, 4);
+  fixture.data.node_indices[5].clear();
+  const core::DpsgdScheduler scheduler;
+  try {
+    (void)fixture.make_engine(scheduler);
+    FAIL() << "an engine was built over an empty shard";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("node 5"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Engine, TrainingChangesParameters) {
   Fixture fixture(8, 4);
   const core::DpsgdScheduler scheduler;

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -189,6 +192,54 @@ TEST(Rng, FillNormalAndUniform) {
   double sum = 0.0;
   for (const float v : buffer) sum += v;
   EXPECT_NEAR(sum / buffer.size(), 2.0, 0.05);
+}
+
+void expect_same_state(const Rng::State& a, const Rng::State& b) {
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(a.s[i], b.s[i]) << "s[" << i << "]";
+  EXPECT_EQ(a.has_cached_normal, b.has_cached_normal);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.cached_normal),
+            std::bit_cast<std::uint64_t>(b.cached_normal));
+}
+
+TEST(Rng, DiscardNormalsMatchesDrawing) {
+  // s[1] == 0 makes the next next_u64() return 0, so the next Box–Muller
+  // pair draws u1 = 0 and its rejection loop runs.
+  Rng::State zero_next;
+  zero_next.s[0] = 0x9e3779b97f4a7c15ULL;
+  zero_next.s[2] = 0x243f6a8885a308d3ULL;
+  zero_next.s[3] = 0x13198a2e03707344ULL;
+  Rng probe;
+  probe.set_state(zero_next);
+  ASSERT_EQ(probe.next_u64(), 0u);
+  Rng::State zero_next_cached = zero_next;
+  zero_next_cached.cached_normal = 0.25;
+  zero_next_cached.has_cached_normal = true;
+
+  Rng fresh(2024);
+  Rng cached(2024);
+  (void)cached.normal();
+  ASSERT_TRUE(cached.state().has_cached_normal);
+  const std::vector<std::pair<const char*, Rng::State>> starts = {
+      {"empty cache", fresh.state()},
+      {"full cache", cached.state()},
+      {"u1 = 0 next, empty cache", zero_next},
+      {"u1 = 0 next, full cache", zero_next_cached}};
+  for (const auto& [name, start] : starts) {
+    for (const std::uint64_t count : {0u, 1u, 2u, 63u, 64u, 65u}) {
+      SCOPED_TRACE(std::string(name) + ", count " + std::to_string(count));
+      Rng drawn;
+      drawn.set_state(start);
+      for (std::uint64_t i = 0; i < count; ++i) (void)drawn.normal();
+      Rng skipped;
+      skipped.set_state(start);
+      skipped.discard_normals(count);
+      expect_same_state(skipped.state(), drawn.state());
+      for (int i = 0; i < 8; ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(skipped.normal()),
+                  std::bit_cast<std::uint64_t>(drawn.normal()));
+      }
+    }
+  }
 }
 
 TEST(StatelessUniform, DeterministicAndOrderFree) {

@@ -357,6 +357,19 @@ TEST(SweepRunner, ReusesDatasetBuildsAcrossTrials) {
   EXPECT_EQ(runner.cache().size(), 1u);  // three trials, one dataset build
 }
 
+TEST(SweepRunner, FemnistTrialWithOneSamplePerWriterFinishes) {
+  // At a mean of one sample per writer, a writer whose count truncated
+  // to 0 would crash a Release build when it draws a batch.
+  SweepGrid grid = tiny_grid();
+  grid.datasets = {"femnist"};
+  grid.data.nodes = 16;
+  grid.data.samples_per_node = 1;
+  grid.base.degree = 4;
+  const SweepReport report = SweepRunner().run(grid);
+  ASSERT_EQ(report.trials.size(), 1u);
+  EXPECT_TRUE(report.trials[0].ok()) << report.trials[0].error;
+}
+
 TEST(SweepRunner, ConsensusColumnPopulatedWhenTracked) {
   SweepGrid grid = tiny_grid();
   const SweepReport untracked = SweepRunner({.threads = 1}).run(grid);
