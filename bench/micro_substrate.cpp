@@ -392,7 +392,8 @@ void BM_CodecDecode(benchmark::State& state) {
 
 void RegisterCodecGrid(benchmark::internal::Benchmark* bench) {
   for (const quant::Codec codec : quant::all_codecs()) {
-    for (const std::int64_t dim : {2752L, 100000L}) {
+    // 2410: one compact-MLP row, what the engines encode per sender.
+    for (const std::int64_t dim : {2410L, 2752L, 100000L}) {
       bench->Args({static_cast<std::int64_t>(codec), dim});
     }
   }
@@ -548,14 +549,41 @@ BENCHMARK(BM_ScenarioTraceStep)->Arg(64)->Arg(256);
 
 // ---------------------------------------------------------------------------
 // Fault-layer kernels (fault/frame.hpp, fault/fault.hpp): what the wire
-// framing and a fully faulted gossip round cost. BM_CrcFrame measures
-// encode_frame + verify_frame (the CRC32C slicing-by-4 path dominates at
-// large dims); BM_FaultedGossipRound runs whole engine rounds under an
+// framing and a fully faulted gossip round cost. BM_Crc32c is the raw
+// checksum at one int8 frame (2,752 B), one fp32 frame (9,700 B) and one
+// checkpoint image (1.25 MB), dispatched (SSE4.2 where present) next to
+// the portable table loop; BM_CrcFrame measures encode_frame +
+// verify_frame (the payload copy and two CRC passes); BM_FaultedGossipRound
+// runs whole engine rounds under an
 // active drop/corrupt/dup plan, so the framing, per-link stateless draws,
 // and masked difference-form aggregation are all on the clock. Both run
 // under --quick; the CI gate requires the rows so a fault-path regression
 // cannot hide by vanishing.
 // ---------------------------------------------------------------------------
+
+template <std::uint32_t (*Update)(std::uint32_t, const void*, std::size_t)>
+void BM_Crc32cBytes(benchmark::State& state) {
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  std::vector<unsigned char> buffer(bytes);
+  util::Rng rng(11);
+  for (auto& byte : buffer) byte = static_cast<unsigned char>(rng.next_u64());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        Update(fault::kCrc32cInit, buffer.data(), buffer.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_Crc32cBytes<fault::crc32c_update>)
+    ->Name("BM_Crc32c")
+    ->Arg(2752)
+    ->Arg(9700)
+    ->Arg(1250000);
+BENCHMARK(BM_Crc32cBytes<fault::crc32c_update_table>)
+    ->Name("BM_Crc32cTable")
+    ->Arg(2752)
+    ->Arg(9700)
+    ->Arg(1250000);
 
 void BM_CrcFrame(benchmark::State& state) {
   const auto dim = static_cast<std::size_t>(state.range(0));
@@ -823,7 +851,7 @@ int main(int argc, char** argv) {
   }
   if (quick) {
     args.insert(args.begin() + 1,
-                "--benchmark_filter=BM_Aggregate|BM_Gossip|BM_Codec|BM_Checkpoint|BM_Harvest|BM_Scenario|BM_Gemm(NN|NT|TN)(Blocked|Ref)|BM_Conv2d|BM_Obs|BM_CrcFrame|BM_FaultedGossip|BM_EvaluateFleet|BM_DatasetBuild");
+                "--benchmark_filter=BM_Aggregate|BM_Gossip|BM_Codec|BM_Checkpoint|BM_Harvest|BM_Scenario|BM_Gemm(NN|NT|TN)(Blocked|Ref)|BM_Conv2d|BM_Obs|BM_Crc|BM_FaultedGossip|BM_EvaluateFleet|BM_DatasetBuild");
     args.insert(args.begin() + 1, "--benchmark_min_time=0.05");
   }
   const bool has_out =

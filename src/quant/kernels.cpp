@@ -1,17 +1,31 @@
 #include "quant/kernels.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "quant/codec.hpp"
 
-// The batch kernels are element-wise exact (no reductions, no FMA — fma
-// is deliberately absent from the clone list so no contraction can change
-// results), so every ISA variant produces identical bits; AVX2 supplies
-// the per-lane variable shifts and rounds the fp16/int8 bodies vectorize
-// with, while the default clone keeps baseline machines working.
+// fp16: the batch kernels dispatch once, on first use, to F16C
+// conversions (vcvtps2ph with an explicit round-to-nearest-even,
+// vcvtph2ps) where the CPU has them, and otherwise to the scalar
+// reference loops. The hardware conversions are IEEE-exact and differ
+// from the reference conversions only on NaN lanes, which are blended
+// back to the reference bits. Like the clones below, this is GCC-only:
+// other compilers build the scalar references.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#include <immintrin.h>
+#define SKIPTRAIN_F16C 1
+#endif
+
+// int8: the batch kernels are element-wise exact (no reductions; the TU
+// is built with -ffp-contract=off, so no clone contracts into FMA), so
+// every ISA clone produces identical bits. The nearest-rounding body and
+// the block min/max scan are written on GCC vector types of eight 32-bit
+// lanes (GCC 12 auto-vectorizes neither loop): the AVX2 and v4 clones
+// compile each step to one ymm register, and the default clone keeps
+// baseline machines working with the same source lowered to SSE2.
 #if defined(__x86_64__) && defined(__ELF__) && defined(__GNUC__) && \
     !defined(__clang__) && !defined(__SANITIZE_ADDRESS__)
 #define SKIPTRAIN_VEC_CLONES \
@@ -24,60 +38,162 @@ namespace skiptrain::quant {
 
 namespace {
 
-/// Branch-free fp16_from_float over the raw float bits: every path is
-/// computed with shift amounts clamped into defined range, then selected
-/// with ternaries the vectorizer can if-convert. Bitwise identical to the
-/// scalar conversion (enforced exhaustively in tests).
-inline std::uint16_t fp16_bits_rne(std::uint32_t bits) {
-  const std::uint32_t sign = (bits >> 16) & 0x8000u;
-  const std::uint32_t abs = bits & 0x7fffffffu;
-  const std::uint32_t exp = abs >> 23;
-  const std::uint32_t mant = abs & 0x7fffffu;
-  // Normal half (113 <= exp < 143); rounding may carry into the exponent
-  // field — including into Inf at the top of the range.
-  std::uint32_t half_n = ((exp - 112u) << 10) | (mant >> 13);
-  const std::uint32_t rem_n = mant & 0x1fffu;
-  half_n += static_cast<std::uint32_t>(rem_n > 0x1000u ||
-                                       (rem_n == 0x1000u && (half_n & 1u)));
-  // Subnormal half (102 <= exp < 113): shift the full 24-bit significand
-  // into 10 bits with round-to-nearest-even. The clamp keeps the shift
-  // defined on the paths the select discards.
-  const std::uint32_t significand = mant | 0x800000u;
-  const std::uint32_t shift = std::clamp(126u - exp, 1u, 31u);
-  const std::uint32_t half_bit = 1u << (shift - 1u);
-  std::uint32_t half_s = significand >> shift;
-  const std::uint32_t rem_s = significand & ((1u << shift) - 1u);
-  half_s += static_cast<std::uint32_t>(rem_s > half_bit ||
-                                       (rem_s == half_bit && (half_s & 1u)));
-  const std::uint32_t infnan = abs > 0x7f800000u ? 0x7e00u : 0x7c00u;
-  const std::uint32_t half = exp >= 143u  ? infnan
-                             : exp >= 113u ? half_n
-                             : exp >= 102u ? half_s
-                                           : 0u;
-  return static_cast<std::uint16_t>(sign | half);
+#ifdef SKIPTRAIN_F16C
+bool has_f16c() {
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0 &&
+           __builtin_cpu_supports("f16c") != 0;
+  }();
+  return supported;
 }
 
-inline std::uint16_t fp16_bits_wire(std::uint32_t bits) {
-  const std::uint16_t half = fp16_bits_rne(bits);
-  return (half & 0x7fffu) == 0x7c00u
-             ? static_cast<std::uint16_t>((half & 0x8000u) | 0x7bffu)
-             : half;
+/// fp16_from_float (kWire: fp16_wire_from_float) eight floats at a time.
+/// The wire variant clamps to ±65504 first: exactly the values that
+/// would round to ±Inf then land on the largest finite half, and every
+/// other value is unchanged. NaN lanes get the reference's sign | 0x7e00
+/// in place of the hardware's payload-preserving quiet NaN.
+template <bool kWire>
+__attribute__((target("avx2,f16c"))) void fp16_encode_f16c(
+    const float* src, std::uint16_t* dst, std::size_t n) {
+  const __m128i sign_bit = _mm_set1_epi16(static_cast<short>(0x8000));
+  const __m128i magnitude = _mm_set1_epi16(0x7fff);
+  const __m128i half_inf = _mm_set1_epi16(0x7c00);
+  const __m128i quiet_nan = _mm_set1_epi16(0x7e00);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m256 x = _mm256_loadu_ps(src + i);
+    if (kWire) {  // operand order: minps/maxps pass a NaN in `x` through
+      x = _mm256_max_ps(_mm256_set1_ps(-65504.0f),
+                        _mm256_min_ps(_mm256_set1_ps(65504.0f), x));
+    }
+    const __m128i half = _mm256_cvtps_ph(x, _MM_FROUND_TO_NEAREST_INT);
+    // A NaN converts to a NaN half, and only a NaN has magnitude > 0x7c00.
+    const __m128i nan_lane =
+        _mm_cmpgt_epi16(_mm_and_si128(half, magnitude), half_inf);
+    const __m128i fixed =
+        _mm_or_si128(_mm_and_si128(half, sign_bit), quiet_nan);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
+                     _mm_blendv_epi8(half, fixed, nan_lane));
+  }
+  for (; i < n; ++i) {
+    dst[i] = kWire ? fp16_wire_from_float(src[i]) : fp16_from_float(src[i]);
+  }
 }
 
-/// Branch-free fp16_to_float: subnormals widen exactly via an integer →
-/// float convert scaled by 2^-24 (mant/2^24 is the subnormal's value and
-/// is exactly representable in binary32).
-inline float fp16_bits_to_float(std::uint16_t h) {
-  const std::uint32_t sign = static_cast<std::uint32_t>(h & 0x8000u) << 16;
-  const std::uint32_t exp = (h >> 10) & 0x1fu;
-  const std::uint32_t mant = h & 0x3ffu;
-  const std::uint32_t norm = sign | ((exp + 112u) << 23) | (mant << 13);
-  const std::uint32_t infnan = sign | 0x7f800000u | (mant << 13);
-  const std::uint32_t sub =
-      sign |
-      std::bit_cast<std::uint32_t>(static_cast<float>(mant) * 0x1.0p-24f);
-  const std::uint32_t out = exp == 31u ? infnan : exp != 0u ? norm : sub;
-  return std::bit_cast<float>(out);
+/// fp16_to_float eight halves at a time. vcvtph2ps quiets signaling NaNs
+/// (1,022 of the 65,536 patterns); the reference keeps every NaN payload
+/// as is, so a group holding an Inf or NaN takes the reference's bits
+/// (sign | 0x7f800000 | mant << 13) on those lanes.
+__attribute__((target("avx2,f16c"))) void fp16_decode_f16c(
+    const std::uint16_t* src, float* dst, std::size_t n) {
+  const __m128i exp_mask = _mm_set1_epi16(0x7c00);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m128i half =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
+    __m256 value = _mm256_cvtph_ps(half);
+    const __m128i infnan16 =
+        _mm_cmpeq_epi16(_mm_and_si128(half, exp_mask), exp_mask);
+    if (!_mm_testz_si128(infnan16, infnan16)) {
+      const __m256i h = _mm256_cvtepu16_epi32(half);
+      const __m256i infnan = _mm256_or_si256(
+          _mm256_or_si256(
+              _mm256_slli_epi32(
+                  _mm256_and_si256(h, _mm256_set1_epi32(0x8000)), 16),
+              _mm256_set1_epi32(0x7f800000)),
+          _mm256_slli_epi32(_mm256_and_si256(h, _mm256_set1_epi32(0x3ff)),
+                            13));
+      value = _mm256_blendv_ps(
+          value, _mm256_castsi256_ps(infnan),
+          _mm256_castsi256_ps(_mm256_cvtepi16_epi32(infnan16)));
+    }
+    _mm256_storeu_ps(dst + i, value);
+  }
+  for (; i < n; ++i) dst[i] = fp16_to_float(src[i]);
+}
+#endif
+
+// Eight lanes of 32 bits: one AVX2 register.
+constexpr std::size_t kLanes = 8;
+using i32x8 = std::int32_t __attribute__((vector_size(32)));
+using f32x8 = float __attribute__((vector_size(32)));
+using u8x8 = std::uint8_t __attribute__((vector_size(8)));
+
+// The lane helpers pass vectors through memory or by reference, never by
+// value: a 32-byte vector crossing a call boundary in the default clone
+// would change the ABI.
+template <typename V>
+[[gnu::always_inline]] inline void load_lanes(const void* src, V& v) {
+  std::memcpy(&v, src, sizeof(v));
+}
+
+template <typename V>
+[[gnu::always_inline]] inline void store_lanes(void* dst, const V& v) {
+  std::memcpy(dst, &v, sizeof(v));
+}
+
+/// Eight int8-nearest codes: positive half-away-from-zero, bitwise equal
+/// to the reference's clamped lroundf. t >= 0 by construction (lo is the
+/// block minimum and inv > 0) and stays below 256 for a finite inv, so
+/// truncation is floor and t - floor(t) is exact. The clamp keeps the
+/// conversion in range; a NaN element (of a poisoned row whose block
+/// endpoints are finite) is mapped to 0 first and lands on code 0, the
+/// reference's clamped result.
+[[gnu::always_inline]] inline void int8_lanes_nearest(const float* src,
+                                                      float lo, float inv,
+                                                      std::uint8_t* dst) {
+  f32x8 x;
+  load_lanes(src, x);
+  const f32x8 t = (x - lo) * inv;
+  const f32x8 cap = f32x8{} + 256.0f;
+  const f32x8 tc = t == t ? (t < cap ? t : cap) : f32x8{};
+  const i32x8 r = __builtin_convertvector(tc, i32x8);
+  const f32x8 frac = tc - __builtin_convertvector(r, f32x8);
+  i32x8 q = r - (frac >= f32x8{} + 0.5f);  // a true compare lane is -1
+  const i32x8 max_code = i32x8{} + 255;
+  q = q < max_code ? q : max_code;
+  store_lanes(dst, __builtin_convertvector(q, u8x8));
+}
+
+template <int... kPermutation>
+[[gnu::always_inline]] inline void fold_lanes(f32x8& lo, f32x8& hi,
+                                              i32x8& flags) {
+  const f32x8 lo2 = __builtin_shufflevector(lo, lo, kPermutation...);
+  const f32x8 hi2 = __builtin_shufflevector(hi, hi, kPermutation...);
+  lo = lo2 < lo ? lo2 : lo;
+  hi = hi2 > hi ? hi2 : hi;
+  flags |= __builtin_shufflevector(flags, flags, kPermutation...);
+}
+
+/// Vector min/max of one full block, or false when the block holds a
+/// ±0 or a NaN. Only then does the order of the scan matter (std::min
+/// keeps the first of two equal or unordered values), so those blocks
+/// take the sequential scan; in every other block the minimum and the
+/// maximum are unique bit patterns and any order finds them.
+[[gnu::always_inline]] inline bool block_min_max_lanes(const float* src,
+                                                       float& lo, float& hi) {
+  f32x8 vlo;
+  load_lanes(src, vlo);
+  f32x8 vhi = vlo;
+  const f32x8 zero{};
+  i32x8 unordered = (vlo == zero) | (vlo != vlo);
+  for (std::size_t i = kLanes; i < kInt8BlockValues; i += kLanes) {
+    f32x8 x;
+    load_lanes(src + i, x);
+    vlo = x < vlo ? x : vlo;
+    vhi = x > vhi ? x : vhi;
+    unordered |= (x == zero) | (x != x);
+  }
+  // Fold the eight lanes in three halving steps (lane 0 ends up holding
+  // the result); the order is free here.
+  fold_lanes<4, 5, 6, 7, 0, 1, 2, 3>(vlo, vhi, unordered);
+  fold_lanes<2, 3, 0, 1, 6, 7, 4, 5>(vlo, vhi, unordered);
+  fold_lanes<1, 0, 3, 2, 5, 4, 7, 6>(vlo, vhi, unordered);
+  if (unordered[0] != 0) return false;
+  lo = vlo[0];
+  hi = vhi[0];
+  return true;
 }
 
 inline float dither_uniform_at(std::uint64_t stream,
@@ -89,10 +205,11 @@ inline float dither_uniform_at(std::uint64_t stream,
   return static_cast<float>(z >> 40) * 0x1.0p-24f;
 }
 
-/// Shared int8 block skeleton. The min/max scan keeps the seed's
-/// sequential order (so ±0 ties select the same bits); only the quantize
-/// loop differs per variant and is what `Quantize` vectorizes.
-template <typename Quantize>
+/// Shared int8 block skeleton. The min/max scan is the seed's sequential
+/// one (so ±0 ties select the same bits), except that with `kVectorScan`
+/// full blocks without ±0 or NaN take block_min_max_lanes, which finds
+/// the same bits; the quantize loop differs per variant.
+template <bool kVectorScan, typename Quantize>
 [[gnu::always_inline]] inline void int8_encode_blocks(
     std::span<const float> row, std::uint8_t* codes, float* lo_out,
     float* scale_out, Quantize&& quantize) {
@@ -103,9 +220,12 @@ template <typename Quantize>
     const std::size_t end = std::min(begin + kInt8BlockValues, row.size());
     float lo = row[begin];
     float hi = row[begin];
-    for (std::size_t i = begin + 1; i < end; ++i) {
-      lo = std::min(lo, row[i]);
-      hi = std::max(hi, row[i]);
+    if (!kVectorScan || end - begin != kInt8BlockValues ||
+        !block_min_max_lanes(row.data() + begin, lo, hi)) {
+      for (std::size_t i = begin + 1; i < end; ++i) {
+        lo = std::min(lo, row[i]);
+        hi = std::max(hi, row[i]);
+      }
     }
     const float scale = (hi - lo) / 255.0f;
     lo_out[b] = lo;
@@ -146,32 +266,25 @@ std::uint16_t fp16_wire_from_float(float value) {
   return half;
 }
 
-SKIPTRAIN_VEC_CLONES
 void fp16_encode(std::span<const float> src, std::uint16_t* dst) {
-  const float* __restrict__ in = src.data();
-  std::uint16_t* __restrict__ out = dst;
-  const std::size_t n = src.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = fp16_bits_rne(std::bit_cast<std::uint32_t>(in[i]));
-  }
+#ifdef SKIPTRAIN_F16C
+  if (has_f16c()) return fp16_encode_f16c<false>(src.data(), dst, src.size());
+#endif
+  fp16_encode_scalar(src, dst);
 }
 
-SKIPTRAIN_VEC_CLONES
 void fp16_encode_wire(std::span<const float> src, std::uint16_t* dst) {
-  const float* __restrict__ in = src.data();
-  std::uint16_t* __restrict__ out = dst;
-  const std::size_t n = src.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = fp16_bits_wire(std::bit_cast<std::uint32_t>(in[i]));
-  }
+#ifdef SKIPTRAIN_F16C
+  if (has_f16c()) return fp16_encode_f16c<true>(src.data(), dst, src.size());
+#endif
+  fp16_encode_wire_scalar(src, dst);
 }
 
-SKIPTRAIN_VEC_CLONES
 void fp16_decode(const std::uint16_t* src, std::span<float> dst) {
-  const std::uint16_t* __restrict__ in = src;
-  float* __restrict__ out = dst.data();
-  const std::size_t n = dst.size();
-  for (std::size_t i = 0; i < n; ++i) out[i] = fp16_bits_to_float(in[i]);
+#ifdef SKIPTRAIN_F16C
+  if (has_f16c()) return fp16_decode_f16c(src, dst.data(), dst.size());
+#endif
+  fp16_decode_scalar(src, dst);
 }
 
 void fp16_encode_scalar(std::span<const float> src, std::uint16_t* dst) {
@@ -193,9 +306,9 @@ void fp16_decode_scalar(const std::uint16_t* src, std::span<float> dst) {
 SKIPTRAIN_VEC_CLONES
 void int8_encode(std::span<const float> row, std::uint8_t* codes, float* lo,
                  float* scale) {
-  const float* __restrict__ in = row.data();
-  std::uint8_t* __restrict__ out = codes;
-  int8_encode_blocks(
+  const float* in = row.data();
+  std::uint8_t* out = codes;
+  int8_encode_blocks<true>(
       row, codes, lo, scale,
       [in, out](std::size_t begin, std::size_t end, float blo, float inv) {
         if (!(inv > 0.0f) || inv > std::numeric_limits<float>::max()) {
@@ -208,20 +321,16 @@ void int8_encode(std::span<const float> row, std::uint8_t* codes, float* lo,
           std::fill(out + begin, out + end, std::uint8_t{0});
           return;
         }
-        for (std::size_t i = begin; i < end; ++i) {
-          const float t = (in[i] - blo) * inv;
-          // Positive half-away-from-zero, branch-free: bitwise equal to
-          // the reference's lroundf (t >= 0 by construction — and with a
-          // finite inv, t stays far below 2^31 — and t - floor(t) is
-          // exact for these magnitudes). The int32 intermediate is what
-          // lets the conversion-to-code vectorize; the NaN select (an
-          // element of a poisoned row whose block endpoints are finite)
-          // keeps the conversion in defined range and lands on code 0,
-          // the reference's clamped result.
-          const float r = std::floor(t);
-          const float rc = (t == t) ? std::min(r, 255.0f) : 0.0f;
-          const int q = static_cast<int>(rc) + ((t - r >= 0.5f) ? 1 : 0);
-          out[i] = static_cast<std::uint8_t>(std::min(q, 255));
+        std::size_t i = begin;
+        for (; i + kLanes <= end; i += kLanes) {
+          int8_lanes_nearest(in + i, blo, inv, out + i);
+        }
+        if (i < end) {  // the row's short last block: pad to eight lanes
+          float tail[kLanes] = {};
+          std::uint8_t tail_codes[kLanes];
+          std::copy(in + i, in + end, tail);
+          int8_lanes_nearest(tail, blo, inv, tail_codes);
+          std::copy(tail_codes, tail_codes + (end - i), out + i);
         }
       });
 }
@@ -231,7 +340,7 @@ void int8_encode_dithered(std::span<const float> row, std::uint64_t stream,
                           std::uint8_t* codes, float* lo, float* scale) {
   const float* __restrict__ in = row.data();
   std::uint8_t* __restrict__ out = codes;
-  int8_encode_blocks(
+  int8_encode_blocks<true>(
       row, codes, lo, scale,
       [in, out, stream](std::size_t begin, std::size_t end, float blo,
                         float inv) {
@@ -284,7 +393,7 @@ void int8_decode_dithered(std::size_t dim, const std::uint8_t* codes,
 
 void int8_encode_scalar(std::span<const float> row, std::uint8_t* codes,
                         float* lo, float* scale) {
-  int8_encode_blocks(
+  int8_encode_blocks<false>(
       row, codes, lo, scale,
       [&row, codes](std::size_t begin, std::size_t end, float blo, float inv) {
         for (std::size_t i = begin; i < end; ++i) {
@@ -298,7 +407,7 @@ void int8_encode_scalar(std::span<const float> row, std::uint8_t* codes,
 void int8_encode_dithered_scalar(std::span<const float> row,
                                  std::uint64_t stream, std::uint8_t* codes,
                                  float* lo, float* scale) {
-  int8_encode_blocks(
+  int8_encode_blocks<false>(
       row, codes, lo, scale,
       [&row, codes, stream](std::size_t begin, std::size_t end, float blo,
                             float inv) {

@@ -1,19 +1,23 @@
 // Batch (whole-row) kernels for the exchange codecs, plus the scalar
 // reference paths they must match bit for bit.
 //
-// The vectorized kernels process entire rows with branch-free bodies
-// (integer selects, floor/compare rounding) that the compiler can
-// auto-vectorize, instead of calling the scalar conversion per element.
-// Every kernel is bitwise identical to its `*_scalar` counterpart — the
-// seed per-element code retained verbatim — which
-// tests/test_quant_kernels.cpp enforces exhaustively for fp16 (all 2^16
-// halves) and by fuzz for the int8 block codecs (including constant and
-// denormal-heavy rows). One scoping note: for pathological int8 blocks
-// whose range is denormal-small, infinite, or NaN, the seed path funnels
-// ±Inf/NaN through lroundf, whose out-of-range result is the *x86*
-// saturating float→long conversion (clamps to code 0); the batch kernels
-// replicate that outcome explicitly, so on a non-x86 target the scalar
-// seed path — not the batch kernels — is what would diverge.
+// The fp16 kernels dispatch once, on first use, to F16C conversions
+// (AVX2 + F16C, eight values per step, NaN lanes blended back to the
+// reference bits) and fall back to the scalar reference loops on CPUs
+// without them and in non-GCC builds. The int8 kernels are ISA clones of branch-free bodies;
+// the nearest-rounding encode and every full block's min/max scan are
+// written on eight-lane vector types. Every kernel is bitwise identical
+// to its `*_scalar` counterpart — the seed per-element code retained
+// verbatim — which tests/test_quant_kernels.cpp enforces exhaustively for
+// fp16 (all 2^16 halves, signaling NaNs included, and every float
+// exponent around each rounding tie) and by fuzz for the int8 block
+// codecs (including ±0 ties, NaN, ±Inf, constant and denormal-heavy
+// rows). One scoping note: for pathological int8 blocks whose range is
+// denormal-small, infinite, or NaN, the seed path funnels ±Inf/NaN
+// through lroundf, whose out-of-range result is the *x86* saturating
+// float→long conversion (clamps to code 0); the batch kernels replicate
+// that outcome explicitly, so on a non-x86 target the scalar seed path —
+// not the batch kernels — is what would diverge.
 #pragma once
 
 #include <cstddef>
@@ -43,13 +47,13 @@ namespace skiptrain::quant {
 /// already broken).
 [[nodiscard]] std::uint16_t fp16_wire_from_float(float value);
 
-/// dst[i] = fp16_from_float(src[i]) — vectorized round-to-nearest-even.
+/// dst[i] = fp16_from_float(src[i]) — round-to-nearest-even, F16C batch.
 void fp16_encode(std::span<const float> src, std::uint16_t* dst);
 
-/// dst[i] = fp16_wire_from_float(src[i]) — vectorized, Inf-saturating.
+/// dst[i] = fp16_wire_from_float(src[i]) — Inf-saturating, F16C batch.
 void fp16_encode_wire(std::span<const float> src, std::uint16_t* dst);
 
-/// dst[i] = fp16_to_float(src[i]) — vectorized exact widening.
+/// dst[i] = fp16_to_float(src[i]) — exact widening, F16C batch.
 void fp16_decode(const std::uint16_t* src, std::span<float> dst);
 
 /// Scalar reference loops (call the per-element conversions).

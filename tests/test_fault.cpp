@@ -29,6 +29,7 @@
 #include "sim/engine.hpp"
 #include "sim/runner.hpp"
 #include "sweep/sweep.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace skiptrain {
@@ -50,15 +51,54 @@ TEST(Crc32c, KnownAnswerVectors) {
 }
 
 TEST(Crc32c, IncrementalMatchesOneShot) {
-  const std::string data = "the wire frame integrity check of skiptrain";
+  // A running CRC split at every offset of a 64-byte buffer equals the
+  // one-shot CRC, and both equal the table oracle's.
+  std::vector<std::uint8_t> data(64);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 113 + 7);
+  }
   const std::uint32_t oneshot = fault::crc32c(data.data(), data.size());
-  for (const std::size_t split : {std::size_t{0}, std::size_t{1},
-                                  std::size_t{7}, data.size() - 1,
-                                  data.size()}) {
+  EXPECT_EQ(oneshot, fault::crc32c_finish(fault::crc32c_update_table(
+                         fault::kCrc32cInit, data.data(), data.size())));
+  for (std::size_t split = 0; split <= data.size(); ++split) {
     std::uint32_t crc = fault::kCrc32cInit;
     crc = fault::crc32c_update(crc, data.data(), split);
     crc = fault::crc32c_update(crc, data.data() + split, data.size() - split);
     EXPECT_EQ(fault::crc32c_finish(crc), oneshot) << "split at " << split;
+  }
+}
+
+TEST(Crc32c, TableOracleMatchesKnownAnswers) {
+  const auto table = [](const void* data, std::size_t bytes) {
+    return fault::crc32c_finish(
+        fault::crc32c_update_table(fault::kCrc32cInit, data, bytes));
+  };
+  EXPECT_EQ(table("123456789", 9), 0xe3069283u);
+  EXPECT_EQ(table("", 0), 0x00000000u);
+  const std::vector<std::uint8_t> zeros(32, 0);
+  EXPECT_EQ(table(zeros.data(), zeros.size()), 0x8a9136aau);
+  const std::vector<std::uint8_t> ones(32, 0xff);
+  EXPECT_EQ(table(ones.data(), ones.size()), 0x62a8ab43u);
+}
+
+TEST(Crc32c, DispatchedPathMatchesTableAtEveryLengthAndAlignment) {
+  // Every length 0..20,000 at every start offset 0..7, so the dispatched
+  // (SSE4.2 where present) path's 8-byte body and byte tail meet every
+  // alignment. The oracle advances the table path one byte per length.
+  constexpr std::size_t kMaxLength = 20000;
+  std::vector<std::uint8_t> buffer(kMaxLength + 8);
+  util::Rng rng(20);
+  for (auto& byte : buffer) byte = static_cast<std::uint8_t>(rng.next_u64());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    const std::uint8_t* data = buffer.data() + offset;
+    std::uint32_t oracle = fault::kCrc32cInit;
+    for (std::size_t length = 0; length <= kMaxLength; ++length) {
+      ASSERT_EQ(fault::crc32c_update(fault::kCrc32cInit, data, length), oracle)
+          << "offset " << offset << " length " << length;
+      if (length < kMaxLength) {
+        oracle = fault::crc32c_update_table(oracle, data + length, 1);
+      }
+    }
   }
 }
 
@@ -192,7 +232,9 @@ TEST(FaultDraws, CrashOutagesLastCrashRounds) {
       ++run_length;
       any_outage = true;
     } else {
-      if (run_length != 0) EXPECT_GE(run_length, 4u);
+      if (run_length != 0) {
+        EXPECT_GE(run_length, 4u);
+      }
       run_length = 0;
     }
   }
