@@ -72,17 +72,18 @@ Dataset make_iid_pool(util::Rng& rng, std::span<const float> prototypes,
 }
 
 /// Runs body(rng, lo, hi) over [0, items) split into one contiguous
-/// chunk per global-pool worker, where each item draws exactly
+/// chunk per node-pool worker, where each item draws exactly
 /// `normals_per_item` normals from `rng`. A serial pass records every
 /// chunk's start state with discard_normals, so each chunk sees the very
 /// stream the one-chunk loop would, and `rng` ends where that loop leaves
-/// it: the bytes never depend on the chunking. Where the pool's loops run
-/// serially anyway (ScopedForceSerial, a call from a pool worker, a
-/// one-thread pool) there is one chunk, run on `rng` itself with no pass.
+/// it: the bytes never depend on the chunking. The pass pays off only
+/// when other threads run the chunks, so under ScopedForceSerial, on any
+/// pool worker (whose other workers are mostly busy with trials) and on a
+/// one-thread pool there is one chunk, run on `rng` itself with no pass.
 template <typename Body>
 void generate_in_chunks(util::Rng& rng, std::size_t items,
                         std::size_t normals_per_item, Body&& body) {
-  const util::ThreadPool& pool = util::ThreadPool::global();
+  const util::ThreadPool& pool = util::ThreadPool::current();
   const std::size_t chunks =
       util::ThreadPool::force_serial_active() || pool.on_worker_thread()
           ? 1
@@ -228,7 +229,7 @@ FederatedData make_femnist_synthetic(const FemnistSynConfig& config) {
       }
     }
   };
-  util::ThreadPool::global().parallel_for_chunks(0, config.nodes,
+  util::ThreadPool::current().parallel_for_chunks(0, config.nodes,
                                                  build_writers);
   apply_label_noise(writer_rng, out.train.labels, config.num_classes,
                     config.label_noise);

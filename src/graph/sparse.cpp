@@ -374,7 +374,7 @@ void apply_mixing_sharded(const MixingRef& mixing,
   std::size_t shard = shard_rows;
   if (shard == 0) {
     const std::size_t workers =
-        std::max<std::size_t>(util::ThreadPool::global().size(), 1);
+        std::max<std::size_t>(util::ThreadPool::current().size(), 1);
     // ~8 shards per worker balances the pool without shrinking a shard's
     // contiguous row block below useful prefetch size.
     shard = std::max<std::size_t>(1, n / (8 * workers));
@@ -384,7 +384,7 @@ void apply_mixing_sharded(const MixingRef& mixing,
   // end to end by one thread (its staging stays shard-local). Every row's
   // float-op sequence is fixed and elementwise, so the output is bitwise
   // identical to apply_mixing_blocked at any shard size or thread count.
-  util::ThreadPool::global().parallel_for_chunks(
+  util::ThreadPool::current().parallel_for_chunks(
       0, n,
       [&](std::size_t lo, std::size_t hi) {
         const auto half_row = [&](std::size_t node) {

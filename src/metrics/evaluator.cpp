@@ -147,7 +147,7 @@ Evaluator::FleetResult Evaluator::evaluate_fleet(
   }
   const std::vector<Batch> batches = make_batches();
   std::vector<double> per_node(rows.rows, 0.0);
-  util::ThreadPool::global().parallel_for_chunks(
+  util::ThreadPool::current().parallel_for_chunks(
       0, rows.rows, [&](std::size_t lo, std::size_t hi) {
         nn::Sequential shell = prototype.clone();
         // Batch-major, so the shell's activations change shape once per

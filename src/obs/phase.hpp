@@ -9,9 +9,12 @@
 //   * the span tracer            (when tracing is active), and
 //   * the "phase.<name>" hist_ns (when the registry is enabled).
 //
-// PhaseStats is deliberately not thread-safe: engine phases execute on
-// the trial's driving thread (inline, or pinned-serial under the sweep's
-// ScopedForceSerial), so per-trial accumulation is single-writer.
+// PhaseStats is deliberately not thread-safe: phases are noted only on
+// the trial's driving thread (the caller inline, or the sweep worker that
+// runs the trial), never inside a loop body. Helper threads run node
+// chunks between a phase's two clock reads, so their time lands in the
+// driving thread's interval, and per-trial accumulation stays
+// single-writer.
 // run_experiment folds engine stats plus its own eval/checkpoint/setup
 // measurements into the trial's TrialTelemetry; the sweep layer merges
 // trials into the aggregate exported in telemetry.json.

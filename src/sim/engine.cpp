@@ -183,7 +183,7 @@ RoundEngine::RoundOutcome RoundEngine::run_round() {
   // x^{t-1/2} into current() in place; non-training rows already hold
   // x^{t-1}.
   phase_start = obs::now_ns();
-  util::ThreadPool::global().parallel_for_chunks(
+  util::ThreadPool::current().parallel_for_chunks(
       0, n, [&](std::size_t lo, std::size_t hi) {
         std::unique_ptr<nn::Sequential> shell = shells_.acquire();
         for (std::size_t i = lo; i < hi; ++i) {

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <exception>
 #include <filesystem>
-#include <optional>
 #include <thread>
 #include <utility>
 
@@ -32,6 +31,15 @@ const TrialResult* SweepReport::find_trial(const std::string& dataset,
            trial.spec.options.degree == degree &&
            trial.spec.options.algorithm == algorithm;
   });
+}
+
+std::size_t sweep_pool_size(std::size_t threads, std::size_t trials,
+                            std::size_t hardware) {
+  const std::size_t requested = threads != 0 ? threads : hardware;
+  // Beyond the machine, workers only help if there is a trial for each;
+  // this also tames a nonsense request like size_t(-1) from a mis-cast
+  // negative CLI value.
+  return std::min(requested, std::max(trials, hardware));
 }
 
 SweepRunner::SweepRunner(SweepOptions options) : options_(std::move(options)) {}
@@ -159,30 +167,17 @@ SweepReport SweepRunner::run(const SweepGrid& grid) {
 
   if (options_.threads == 1) {
     // Inline execution: the single trial in flight keeps the engine's
-    // node-level parallelism.
+    // node-level parallelism on the global pool.
     for (const TrialSpec& spec : trials) {
       record_one(spec);
     }
   } else {
     const std::size_t hardware =
         std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    // Never more workers than trials (this also tames a nonsense request
-    // like size_t(-1) from a mis-cast negative CLI value).
-    const std::size_t requested =
-        options_.threads != 0 ? options_.threads : hardware;
-    const std::size_t workers =
-        std::min(requested, std::max<std::size_t>(trials.size(), 1));
-    // Pin each trial's node-level loops to its worker only when trial
-    // parallelism already saturates the machine; a small grid on a big
-    // machine keeps node-level parallelism so surplus cores stay busy.
-    const bool pin_serial = workers >= hardware;
-    util::ThreadPool pool(workers);
+    util::ThreadPool pool(
+        sweep_pool_size(options_.threads, trials.size(), hardware));
     for (const TrialSpec& spec : trials) {
-      pool.submit([&record_one, spec, pin_serial] {
-        std::optional<util::ThreadPool::ScopedForceSerial> serial_scope;
-        if (pin_serial) serial_scope.emplace();
-        record_one(spec);
-      });
+      pool.submit([&record_one, spec] { record_one(spec); });
     }
     pool.wait_idle();
     trial_pool_stats = pool.stats();

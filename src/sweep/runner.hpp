@@ -1,15 +1,15 @@
 // SweepRunner: expands a SweepGrid and executes its trials concurrently.
 //
-// Parallelism model: trial-level parallelism on a util::ThreadPool, layered
-// over the engine's node-level parallel_for. When the trial workers
-// saturate the machine, each trial runs under
-// ThreadPool::ScopedForceSerial, so a trial's inner loops stay on its
-// worker (the nested-serial policy, extended across pools) — N workers run
-// N whole trials concurrently instead of fighting over node-level tasks.
-// When the grid is smaller than the machine, node-level parallelism stays
-// enabled so surplus cores are used. With threads == 1 the trials run
-// inline on the caller with full node-level parallelism — the schedule of
-// the old hand-rolled bench loops.
+// Parallelism model: one util::ThreadPool runs the trials, one per worker,
+// and the same pool runs their node-level loops. A trial's parallel_for
+// (ThreadPool::current() is the sweep pool on its workers) publishes its
+// chunks there and runs them itself unless an idle worker claims some
+// first. While trials are queued every worker runs a whole trial; once
+// the queue drains, the workers left without a trial help the running
+// trials' node loops, so a sweep's tail keeps every core busy. The pool
+// has min(threads, max(trials, hardware threads)) workers. With
+// threads == 1 the trials run inline on the caller, their node loops on
+// the global pool.
 //
 // Determinism: trials are pure functions of their TrialSpec (per-node RNG
 // streams, counter-based scheduler draws, index-ordered reductions), the
@@ -34,8 +34,9 @@
 namespace skiptrain::sweep {
 
 struct SweepOptions {
-  /// Concurrent trials. 0 = one per hardware thread; 1 = run inline with
-  /// node-level parallelism enabled inside the single trial.
+  /// Sweep workers (see sweep_pool_size). 0 = one per hardware thread;
+  /// 1 = run the trials inline, one after another, with node-level
+  /// parallelism on the global pool.
   std::size_t threads = 0;
 
   /// Print a one-line progress note per finished trial to stderr.
@@ -70,9 +71,9 @@ struct SweepReport {
   /// exported by sweep::write_telemetry_json, never part of the CSV.
   obs::TrialTelemetry telemetry;
 
-  /// Trial-level worker-pool stats (threads > 1 path; zero when trials
-  /// ran inline on the caller). Busy time is tracked only while
-  /// obs::enabled().
+  /// Sweep-pool stats (threads > 1 path; zero when trials ran inline on
+  /// the caller): busy time covers trials and helped node chunks. Busy
+  /// time is tracked only while obs::enabled().
   util::ThreadPool::PoolStats trial_pool{};
 
   bool all_ok() const { return failures == 0; }
@@ -98,6 +99,14 @@ struct SweepReport {
                                 std::size_t degree,
                                 sim::Algorithm algorithm) const;
 };
+
+/// Workers of the sweep pool for `threads` requested (0 = `hardware`),
+/// `trials` trials and `hardware` threads: min(requested, max(trials,
+/// hardware)). More workers than trials is fine up to the machine's size,
+/// since idle workers help the running trials' node loops.
+[[nodiscard]] std::size_t sweep_pool_size(std::size_t threads,
+                                          std::size_t trials,
+                                          std::size_t hardware);
 
 class SweepRunner {
  public:

@@ -82,6 +82,7 @@ void write_pool(std::ostream& out, const char* key,
   out << "  \"" << key << "\": {\"workers\": " << pool.workers
       << ", \"busy_seconds\": " << json_double(busy)
       << ", \"tasks_executed\": " << pool.tasks_executed
+      << ", \"helped_chunks\": " << pool.helped_chunks
       << ", \"utilization\": " << json_double(utilization) << "},\n";
 }
 

@@ -13,8 +13,10 @@
 //     "sweep": <grid name>, "wall_seconds": w,
 //     "trials": n, "failures": f, "resumed_trials": r,
 //     "peak_rss_bytes": rss,                     // 0 when unavailable
-//     "trial_pool":  {workers, busy_seconds, tasks_executed, utilization},
-//     "global_pool": {workers, busy_seconds, tasks_executed, utilization},
+//     "trial_pool":  {workers, busy_seconds, tasks_executed, helped_chunks,
+//                     utilization},
+//     "global_pool": {workers, busy_seconds, tasks_executed, helped_chunks,
+//                     utilization},
 //     "phases": {"train": {"seconds": s, "calls": c}, ...},
 //     "phase_total_seconds": sum over phases,
 //     "wire_bytes": total, "wire_bytes_by_codec": {"identity": b, ...},

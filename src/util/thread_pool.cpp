@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <string>
 
 #include "obs/registry.hpp"
@@ -10,15 +11,48 @@
 
 namespace skiptrain::util {
 
+namespace {
+thread_local bool t_force_serial = false;
+// The pool whose worker_loop runs on this thread; null off the workers.
+thread_local ThreadPool* t_pool = nullptr;
+}  // namespace
+
+/// One parallel_for published on the pool. Lives on the caller's stack;
+/// every field but the fixed partition is guarded by the pool's mutex_.
+/// The caller returns only once all chunks are claimed and none is still
+/// running, so a helper never touches a Loop after its last decrement.
+struct ThreadPool::Loop {
+  const std::function<void(std::size_t, std::size_t)>& fn;
+  std::size_t begin;
+  std::size_t base;       // every chunk holds base indices...
+  std::size_t remainder;  // ...and the first `remainder` one more
+  std::size_t num_chunks;
+  std::size_t next = 0;     // next unclaimed chunk
+  std::size_t running = 0;  // chunks claimed by helpers, not yet finished
+  std::exception_ptr first_error{};
+  std::condition_variable done{};
+
+  /// Runs chunk c; the error it throws, if any, is returned, not raised.
+  std::exception_ptr run(std::size_t c) const noexcept {
+    const std::size_t lo = begin + c * base + std::min(c, remainder);
+    const std::size_t hi = lo + base + (c < remainder ? 1 : 0);
+    try {
+      fn(lo, hi);
+    } catch (...) {
+      return std::current_exception();
+    }
+    return nullptr;
+  }
+  bool finished() const { return next == num_chunks && running == 0; }
+};
+
 ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) {
     num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
   workers_.reserve(num_threads);
-  worker_ids_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
-    worker_ids_.push_back(workers_.back().get_id());
   }
 }
 
@@ -53,42 +87,66 @@ void ThreadPool::wait_idle() {
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
+std::size_t ThreadPool::claim(Loop& loop) {
+  const std::size_t c = loop.next++;
+  if (loop.next == loop.num_chunks) std::erase(loops_, &loop);
+  return c;
+}
+
 void ThreadPool::worker_loop() {
+  t_pool = this;
+  std::unique_lock lock(mutex_);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock lock(mutex_);
-      task_available_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
-      if (stop_ && tasks_.empty()) return;
-      task = std::move(tasks_.front());
-      tasks_.pop();
-    }
-    // A raw submit()ed task must not tear down the pool (or leak
-    // in_flight_): log and keep serving. parallel_for chunks never reach
-    // this — they capture their own first exception and rethrow it on
-    // the calling thread.
+    // Re-checked under the lock after every wake-up: a loop's owner may
+    // have claimed its last chunk in the meantime, and then the loop is
+    // gone from loops_.
+    task_available_.wait(lock, [this] {
+      return stop_ || !tasks_.empty() || !loops_.empty();
+    });
     const std::uint64_t start_ns = obs::enabled() ? obs::now_ns() : 0;
-    try {
-      task();
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "[thread_pool] task threw: %s\n", e.what());
-    } catch (...) {
-      std::fprintf(stderr, "[thread_pool] task threw a non-std exception\n");
-    }
-    if (start_ns != 0) {
-      busy_ns_.fetch_add(obs::now_ns() - start_ns, std::memory_order_relaxed);
-      tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-    }
-    {
-      std::lock_guard lock(mutex_);
+    if (!tasks_.empty()) {
+      // Queued tasks go first, so a full queue still runs one per worker.
+      std::function<void()> task = std::move(tasks_.front());
+      tasks_.pop();
+      lock.unlock();
+      // A raw submit()ed task must not tear down the pool (or leak
+      // in_flight_): log and keep serving. parallel_for chunks never
+      // reach this — their errors are rethrown on the loop's caller.
+      try {
+        task();
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "[thread_pool] task threw: %s\n", e.what());
+      } catch (...) {
+        std::fprintf(stderr, "[thread_pool] task threw a non-std exception\n");
+      }
+      if (start_ns != 0) {
+        busy_ns_.fetch_add(obs::now_ns() - start_ns, std::memory_order_relaxed);
+        tasks_executed_.fetch_add(1, std::memory_order_relaxed);
+      }
+      lock.lock();
       if (--in_flight_ == 0) all_done_.notify_all();
+    } else if (!loops_.empty()) {
+      // Help the oldest published loop with one chunk.
+      Loop& loop = *loops_.front();
+      const std::size_t c = claim(loop);
+      ++loop.running;
+      lock.unlock();
+      std::exception_ptr error = loop.run(c);
+      if (start_ns != 0) {
+        busy_ns_.fetch_add(obs::now_ns() - start_ns, std::memory_order_relaxed);
+      }
+      helped_chunks_.fetch_add(1, std::memory_order_relaxed);
+      lock.lock();
+      if (error && !loop.first_error) loop.first_error = std::move(error);
+      --loop.running;
+      // Notified under the lock: the owner cannot see finished() and
+      // leave (destroying `loop`) before this thread lets go of mutex_.
+      if (loop.finished()) loop.done.notify_one();
+    } else {
+      return;  // stop_
     }
   }
 }
-
-namespace {
-thread_local bool t_force_serial = false;
-}  // namespace
 
 ThreadPool::ScopedForceSerial::ScopedForceSerial() : previous_(t_force_serial) {
   t_force_serial = true;
@@ -100,11 +158,7 @@ ThreadPool::ScopedForceSerial::~ScopedForceSerial() {
 
 bool ThreadPool::force_serial_active() { return t_force_serial; }
 
-bool ThreadPool::on_worker_thread() const {
-  const auto self = std::this_thread::get_id();
-  return std::find(worker_ids_.begin(), worker_ids_.end(), self) !=
-         worker_ids_.end();
-}
+bool ThreadPool::on_worker_thread() const { return t_pool == this; }
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t)>& fn,
@@ -123,52 +177,39 @@ void ThreadPool::parallel_for_chunks(
     std::size_t min_per_chunk) {
   if (begin >= end) return;
   const std::size_t count = end - begin;
-  // Serial fallbacks: trivial ranges, or re-entrant calls from a worker.
-  if (count == 1 || workers_.empty() || t_force_serial || on_worker_thread()) {
-    fn(begin, end);
-    return;
-  }
   // Chunk so every chunk carries at least min_per_chunk indices (grain):
   // cheap bodies get fewer, larger chunks instead of paying per-chunk
-  // queue dispatch.
+  // dispatch.
   const std::size_t max_chunks =
       std::max<std::size_t>(1, count / std::max<std::size_t>(1, min_per_chunk));
   const std::size_t num_chunks =
-      std::min({count, workers_.size(), max_chunks});
-  const std::size_t base = count / num_chunks;
-  const std::size_t remainder = count % num_chunks;
-
-  // All completion state lives under done_mutex: the caller can only see
-  // remaining == 0 after the last worker released the lock, so no worker
-  // can touch these stack locals once the wait returns.
-  std::size_t remaining = num_chunks;
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  std::exception_ptr first_error;
-
-  std::size_t offset = begin;
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    const std::size_t len = base + (c < remainder ? 1 : 0);
-    const std::size_t lo = offset;
-    const std::size_t hi = offset + len;
-    offset = hi;
-    submit([&, lo, hi] {
-      // The completion counter must reach zero even if a body throws, or
-      // the caller waits forever; the first error is rethrown below.
-      std::exception_ptr error;
-      try {
-        fn(lo, hi);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      std::lock_guard lock(done_mutex);
-      if (error && !first_error) first_error = error;
-      if (--remaining == 0) done_cv.notify_one();
-    });
+      t_force_serial ? 1 : std::min({count, workers_.size(), max_chunks});
+  if (num_chunks <= 1) {
+    fn(begin, end);
+    return;
   }
-  std::unique_lock lock(done_mutex);
-  done_cv.wait(lock, [&] { return remaining == 0; });
-  if (first_error) std::rethrow_exception(first_error);
+  Loop loop{fn, begin, count / num_chunks, count % num_chunks, num_chunks};
+  {
+    std::lock_guard publish(mutex_);
+    loops_.push_back(&loop);
+  }
+  task_available_.notify_all();
+  std::unique_lock lock(mutex_);
+  if (on_worker_thread()) {
+    // Help-while-wait: this worker runs every chunk no helper has taken,
+    // so it waits below only on chunks already running elsewhere. Other
+    // callers leave every chunk to the workers, as a plain queue would.
+    while (loop.next < loop.num_chunks) {
+      const std::size_t c = claim(loop);
+      lock.unlock();
+      std::exception_ptr error = loop.run(c);
+      lock.lock();
+      if (error && !loop.first_error) loop.first_error = std::move(error);
+    }
+  }
+  loop.done.wait(lock, [&loop] { return loop.finished(); });
+  lock.unlock();
+  if (loop.first_error) std::rethrow_exception(loop.first_error);
 }
 
 ThreadPool& ThreadPool::global() {
@@ -184,10 +225,14 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
+ThreadPool& ThreadPool::current() {
+  return t_pool != nullptr ? *t_pool : global();
+}
+
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn,
                   std::size_t grain) {
-  ThreadPool::global().parallel_for(begin, end, fn, grain);
+  ThreadPool::current().parallel_for(begin, end, fn, grain);
 }
 
 }  // namespace skiptrain::util

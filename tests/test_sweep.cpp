@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "sweep/sweep.hpp"
 
@@ -33,6 +36,38 @@ std::string read_file(const std::string& path) {
   std::stringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
+}
+
+/// `grid` as a sweep tail under stress: churn, the chaotic_fleet fault
+/// plan, and enough rounds for in-flight checkpoints to be written.
+SweepGrid chaotic(SweepGrid grid) {
+  grid.scenarios = {"churn"};
+  grid.faults = {"drop:0.05,corrupt:0.01,dup:0.02,crash:0.004,io:0.1"};
+  grid.base.total_rounds = 12;
+  return grid;
+}
+
+/// Runs `grid` on `threads` sweep workers and returns the summary CSV
+/// bytes. With `checkpoints`, every trial writes in-flight images every
+/// 2 rounds (3 generations kept) into a fresh directory.
+std::string sweep_csv(const SweepGrid& grid, std::size_t threads,
+                      const std::string& tag, bool checkpoints) {
+  SweepOptions options;
+  options.threads = threads;
+  if (checkpoints) {
+    options.checkpoint_dir = testing::TempDir() + tag + "_ckpt";
+    std::filesystem::remove_all(options.checkpoint_dir);
+    options.checkpoint_every = 2;
+    options.keep_generations = 3;
+  }
+  const SweepReport report = SweepRunner(options).run(grid);
+  EXPECT_TRUE(report.all_ok()) << tag;
+  EXPECT_EQ(report.trials.size(), grid.trial_count()) << tag;
+  const std::string path = testing::TempDir() + tag + ".csv";
+  report.write_csv(path);
+  const std::string bytes = read_file(path);
+  EXPECT_FALSE(bytes.empty()) << tag;
+  return bytes;
 }
 
 TEST(SweepGrid, EmptyAxesExpandToSingleBaseTrial) {
@@ -191,29 +226,25 @@ TEST(SweepRunner, ResultsAreByteIdenticalAcrossWorkerCounts) {
   grid.algorithms = {sim::Algorithm::kSkipTrain, sim::Algorithm::kDpsgd};
   grid.gamma_trains = {1, 2};
   grid.seeds = {1, 2};
+  ASSERT_EQ(grid.trial_count(), 8u);
+  EXPECT_EQ(sweep_csv(grid, 1, "sweep_serial", false),
+            sweep_csv(grid, 4, "sweep_parallel", false));
 
-  SweepOptions serial_options;
-  serial_options.threads = 1;
-  const SweepReport serial = SweepRunner(serial_options).run(grid);
-
-  SweepOptions parallel_options;
-  parallel_options.threads = 4;
-  const SweepReport parallel = SweepRunner(parallel_options).run(grid);
-
-  ASSERT_EQ(serial.trials.size(), 8u);
-  ASSERT_EQ(parallel.trials.size(), 8u);
-  EXPECT_TRUE(serial.all_ok());
-  EXPECT_TRUE(parallel.all_ok());
-
-  const std::string serial_path =
-      testing::TempDir() + "sweep_serial.csv";
-  const std::string parallel_path =
-      testing::TempDir() + "sweep_parallel.csv";
-  serial.write_csv(serial_path);
-  parallel.write_csv(parallel_path);
-  const std::string serial_bytes = read_file(serial_path);
-  EXPECT_FALSE(serial_bytes.empty());
-  EXPECT_EQ(serial_bytes, read_file(parallel_path));
+  // Tail shapes: 6 trials on 4 workers (a drained queue, 2 trials left
+  // for 4 workers) and 2 trials on 4 workers (idle workers from the
+  // start), both helped by idle workers under churn, faults and
+  // in-flight checkpoints.
+  SweepGrid six = chaotic(tiny_grid());
+  six.gamma_trains = {1, 2};
+  six.seeds = {1, 2, 3};
+  ASSERT_EQ(six.trial_count(), 6u);
+  EXPECT_EQ(sweep_csv(six, 1, "tail6_serial", true),
+            sweep_csv(six, 4, "tail6_parallel", true));
+  SweepGrid two = chaotic(tiny_grid());
+  two.seeds = {1, 2};
+  ASSERT_EQ(two.trial_count(), 2u);
+  EXPECT_EQ(sweep_csv(two, 1, "tail2_serial", true),
+            sweep_csv(two, 4, "tail2_parallel", true));
 }
 
 TEST(SweepRunner, TracingLeavesSummaryCsvByteIdentical) {
@@ -297,27 +328,74 @@ TEST(SweepRunner, QuantizedTrialsAreByteIdenticalAcrossWorkerCounts) {
   SweepGrid grid = tiny_grid();
   grid.codecs = {quant::Codec::kInt8Dithered};
   grid.seeds = {1, 2};
-
-  SweepOptions serial_options;
-  serial_options.threads = 1;
-  const SweepReport serial = SweepRunner(serial_options).run(grid);
-  SweepOptions parallel_options;
-  parallel_options.threads = 4;
-  const SweepReport parallel = SweepRunner(parallel_options).run(grid);
-  EXPECT_TRUE(serial.all_ok());
-
-  const std::string serial_path = testing::TempDir() + "quant_serial.csv";
-  const std::string parallel_path = testing::TempDir() + "quant_parallel.csv";
-  serial.write_csv(serial_path);
-  parallel.write_csv(parallel_path);
-  const std::string bytes = read_file(serial_path);
-  EXPECT_FALSE(bytes.empty());
-  EXPECT_EQ(bytes, read_file(parallel_path));
+  const std::string bytes = sweep_csv(grid, 1, "quant_serial", false);
+  EXPECT_EQ(bytes, sweep_csv(grid, 4, "quant_parallel", false));
 
   // Quantized grids gain a codec attribution column (identity-only grids
   // keep the pre-quantization schema — see the byte-identity test above).
   EXPECT_NE(bytes.find(",codec,"), std::string::npos);
   EXPECT_NE(bytes.find("int8-dither"), std::string::npos);
+
+  // The same tail shapes as the identity test, through the codecs.
+  SweepGrid six = chaotic(tiny_grid());
+  six.codecs = {quant::Codec::kInt8Dithered, quant::Codec::kFp16,
+                quant::Codec::kInt8};
+  six.seeds = {1, 2};
+  ASSERT_EQ(six.trial_count(), 6u);
+  EXPECT_EQ(sweep_csv(six, 1, "quant_tail6_serial", true),
+            sweep_csv(six, 4, "quant_tail6_parallel", true));
+  SweepGrid two = chaotic(tiny_grid());
+  two.codecs = {quant::Codec::kInt8Dithered};
+  two.seeds = {1, 2};
+  ASSERT_EQ(two.trial_count(), 2u);
+  EXPECT_EQ(sweep_csv(two, 1, "quant_tail2_serial", true),
+            sweep_csv(two, 4, "quant_tail2_parallel", true));
+}
+
+TEST(SweepRunner, PoolSizeRule) {
+  // 0 = one worker per hardware thread, whatever the trial count.
+  EXPECT_EQ(sweep_pool_size(0, 48, 4), 4u);
+  EXPECT_EQ(sweep_pool_size(0, 2, 8), 8u);
+  EXPECT_EQ(sweep_pool_size(1, 48, 4), 1u);
+  EXPECT_EQ(sweep_pool_size(1, 2, 8), 1u);
+  // Fewer trials than hardware threads: workers up to the machine's size
+  // (the surplus helps), not capped at the trial count.
+  EXPECT_EQ(sweep_pool_size(4, 2, 8), 4u);
+  EXPECT_EQ(sweep_pool_size(16, 2, 8), 8u);
+  // A nonsense request is capped at max(trials, hardware).
+  const std::size_t huge = static_cast<std::size_t>(-1);
+  EXPECT_EQ(sweep_pool_size(huge, 48, 4), 48u);
+  EXPECT_EQ(sweep_pool_size(huge, 2, 8), 8u);
+}
+
+TEST(SweepRunner, IdleWorkersHelpTheTailTrialsNodeLoops) {
+  // Two trials on 4 requested workers: one 8 times the other's size, so
+  // on any machine (the pool has at least 2 workers) a worker is free
+  // for most of the long trial and helps its node loops.
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  SweepGrid grid = tiny_grid();
+  grid.node_counts = {8, 64};
+  grid.base.total_rounds = 8;
+  SweepOptions options;
+  options.threads = 4;
+  const SweepReport report = SweepRunner(options).run(grid);
+  obs::set_enabled(was_enabled);
+  ASSERT_TRUE(report.all_ok());
+  EXPECT_GE(report.trial_pool.workers, 2u);
+  EXPECT_GT(report.trial_pool.helped_chunks, 0u);
+  EXPECT_GT(report.trial_pool.busy_ns, 0u);
+
+  const std::string path = testing::TempDir() + "helped.telemetry.json";
+  write_telemetry_json(path, report);
+  const std::string json = read_file(path);
+  // The first helped_chunks after "trial_pool" carries the sweep pool's.
+  const std::size_t pool = json.find("\"trial_pool\"");
+  ASSERT_NE(pool, std::string::npos);
+  EXPECT_EQ(json.find("\"helped_chunks\": " +
+                          std::to_string(report.trial_pool.helped_chunks),
+                      pool),
+            json.find("\"helped_chunks\"", pool));
 }
 
 TEST(SweepRunner, TrialFailuresAreReportedNotSwallowed) {
