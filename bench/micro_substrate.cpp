@@ -7,9 +7,9 @@
 // --benchmark_out=...) so CI records the gossip-kernel perf trajectory
 // per PR. `--quick` runs the aggregate-phase, large-fleet sharded-gossip,
 // exchange-codec, fleet-checkpoint, scenario/harvest, kernel-layer GEMM,
-// Conv2d, fleet-evaluation and dataset-build grids at a short min-time — the mode the
-// CI Release job uses; the GEMM/Conv/Gossip rows feed the bench
-// regression gate (tools/check_bench_regression.py).
+// fleet-evaluation and dataset-build grids at a short min-time — the mode
+// the CI Release job uses; the GEMM/Gossip rows feed the bench regression
+// gate (tools/check_bench_regression.py).
 #include <benchmark/benchmark.h>
 
 #include <sys/resource.h>
@@ -49,12 +49,13 @@ void BM_GemmNT(benchmark::State& state) {
 BENCHMARK(BM_GemmNT)->Arg(16)->Arg(64)->Arg(256);
 
 // ---------------------------------------------------------------------------
-// Kernel-layer GEMM grid: the blocked/packed kernels vs the retained seed
-// loops (gemm_*_ref), at the shapes the model-zoo layers actually run
-// (args are {m, k, n}). Runs under --quick; the CI bench gate compares
-// each blocked row against its Ref twin from BENCH_aggregate.json.
+// Kernel-layer GEMM grid: the dispatched kernels (rows named *Blocked)
+// vs the retained seed loops (gemm_*_ref), at the shapes the engines
+// actually run (args are {m, k, n}). Runs under --quick; the CI bench
+// gate compares each Blocked row against its Ref twin from
+// BENCH_aggregate.json.
 //
-//   nt {16, 3136, 512}: femnist Linear(3136->512) forward, batch 16
+//   nt {16, 3136, 512}: a 3136->512 Linear forward, batch 16
 //   nt {16, 64, 32}   : compact CIFAR MLP Linear(64->32) forward, batch 16
 //   nt {16, 64, 48}   : compact FEMNIST MLP Linear(64->48) forward
 //   nt {16, 48, 62}   : compact FEMNIST MLP Linear(48->62) forward
@@ -62,18 +63,16 @@ BENCHMARK(BM_GemmNT)->Arg(16)->Arg(64)->Arg(256);
 //   nt {64, 32, 10}   : the same head over fleet_10k's 64-sample eval
 //   nt {256, 32, 10}  : the same head over a full 256-row eval batch
 //   nt {256, 48, 62}  : compact FEMNIST MLP head over a 256-row eval batch
-//   nn {16, 512, 3136}: femnist Linear backward dX
-//   nn {32, 800, 256} : GN-LeNet conv2 forward as im2col GEMM
 //   nn {16, 62, 48}   : compact FEMNIST MLP Linear(48->62) backward dX
-//   tn {512, 16, 3136}: femnist Linear backward dW
-//   tn {32, 256, 800} : GN-LeNet conv2 backward dW as im2col GEMM
 //   tn {32, 16, 64}   : compact CIFAR MLP Linear(64->32) backward dW
 //   tn {48, 16, 64}   : compact FEMNIST MLP Linear(64->48) backward dW
 //   tn {62, 16, 48}   : compact FEMNIST MLP Linear(48->62) backward dW
+//   tn {32, 128, 64}  : compact CIFAR MLP Linear(64->32) backward dW at
+//                       batch 128, two 64-deep chunks of the row kernel
 //
-// The compact-MLP rows are the shapes every sweep preset trains and
-// evaluates at: nn and tn take the register-row kernels, nt the blocked
-// path with zero-padded edge tiles (the 10- and 62-wide heads).
+// nn and tn take the register-row kernels (every engine GEMM has
+// n <= 64), nt the packed path with zero-padded edge tiles (the 10- and
+// 62-wide heads).
 // ---------------------------------------------------------------------------
 
 using GemmFn = void (*)(std::size_t, std::size_t, std::size_t,
@@ -103,12 +102,8 @@ void GemmNTShapes(benchmark::internal::Benchmark* bench) {
   bench->Args({16, 64, 48})->Args({16, 48, 62});
   bench->Args({256, 32, 10})->Args({256, 48, 62});
 }
-void GemmNNShapes(benchmark::internal::Benchmark* bench) {
-  bench->Args({16, 512, 3136})->Args({32, 800, 256});
-}
 void GemmTNShapes(benchmark::internal::Benchmark* bench) {
-  bench->Args({512, 16, 3136})->Args({32, 256, 800});
-  bench->Args({48, 16, 64})->Args({62, 16, 48});
+  bench->Args({48, 16, 64})->Args({62, 16, 48})->Args({32, 128, 64});
 }
 // The gated shapes whose blocked row runs in under 3 µs. Under --quick's
 // 0.05 s min-time one noisy slice of such a row once read a 1.34x ratio
@@ -125,13 +120,15 @@ void GemmTNShortShapes(benchmark::internal::Benchmark* bench) {
 }
 constexpr double kShortRowMinTime = 0.5;
 
-/// Registers `name` running kGemm over `shapes`, and over `short_shapes`
-/// at kShortRowMinTime.
+/// Registers `name` running kGemm over `shapes` (if any), and over
+/// `short_shapes` at kShortRowMinTime.
 template <GemmFn kGemm>
 int register_gemm(const char* name,
                   void (*shapes)(benchmark::internal::Benchmark*),
                   void (*short_shapes)(benchmark::internal::Benchmark*)) {
-  benchmark::RegisterBenchmark(name, BM_GemmShape<kGemm>)->Apply(shapes);
+  if (shapes != nullptr) {
+    benchmark::RegisterBenchmark(name, BM_GemmShape<kGemm>)->Apply(shapes);
+  }
   benchmark::RegisterBenchmark(name, BM_GemmShape<kGemm>)
       ->Apply(short_shapes)
       ->MinTime(kShortRowMinTime);
@@ -142,71 +139,15 @@ int register_gemm(const char* name,
                                    GemmNTShortShapes),
     register_gemm<tensor::gemm_nt_ref>("BM_GemmNTRef", GemmNTShapes,
                                        GemmNTShortShapes),
-    register_gemm<tensor::gemm_nn>("BM_GemmNNBlocked", GemmNNShapes,
+    register_gemm<tensor::gemm_nn>("BM_GemmNNBlocked", nullptr,
                                    GemmNNShortShapes),
-    register_gemm<tensor::gemm_nn_ref>("BM_GemmNNRef", GemmNNShapes,
+    register_gemm<tensor::gemm_nn_ref>("BM_GemmNNRef", nullptr,
                                        GemmNNShortShapes),
     register_gemm<tensor::gemm_tn>("BM_GemmTNBlocked", GemmTNShapes,
                                    GemmTNShortShapes),
     register_gemm<tensor::gemm_tn_ref>("BM_GemmTNRef", GemmTNShapes,
                                        GemmTNShortShapes),
 };
-
-// ---------------------------------------------------------------------------
-// Conv2d forward/backward: im2col + GEMM vs the retained direct loop, on
-// GN-LeNet conv2 (32->32, 5x5, pad 2, 16x16 input; arg is the batch).
-// Runs under --quick for the CI bench gate.
-// ---------------------------------------------------------------------------
-
-struct ConvBench {
-  nn::Conv2d conv{32, 32, 5, 1, 2};
-  tensor::Tensor input;
-  tensor::Tensor output;
-  tensor::Tensor grad_out;
-  tensor::Tensor grad_in;
-
-  explicit ConvBench(std::size_t batch, nn::Conv2dAlgo algo)
-      : input({batch, 32, 16, 16}) {
-    conv.set_algorithm(algo);
-    util::Rng rng(13);
-    rng.fill_normal(conv.parameters(), 0.0f, 0.5f);
-    rng.fill_normal(input.data(), 0.0f, 1.0f);
-    const auto out_shape = conv.output_shape(input.shape());
-    output = tensor::Tensor(out_shape);
-    grad_out = tensor::Tensor(out_shape);
-    grad_in = tensor::Tensor(input.shape());
-    rng.fill_normal(grad_out.data(), 0.0f, 1.0f);
-    conv.forward(input, output);
-  }
-};
-
-void BM_Conv2dFwd(benchmark::State& state) {
-  ConvBench bench(static_cast<std::size_t>(state.range(0)),
-                  static_cast<nn::Conv2dAlgo>(state.range(1)));
-  for (auto _ : state) {
-    bench.conv.forward(bench.input, bench.output);
-    benchmark::DoNotOptimize(bench.output.raw());
-  }
-  state.SetLabel(state.range(1) == 1 ? "direct" : "im2col");
-}
-
-void BM_Conv2dBwd(benchmark::State& state) {
-  ConvBench bench(static_cast<std::size_t>(state.range(0)),
-                  static_cast<nn::Conv2dAlgo>(state.range(1)));
-  for (auto _ : state) {
-    bench.conv.zero_grad();
-    bench.conv.backward(bench.input, bench.grad_out, bench.grad_in);
-    benchmark::DoNotOptimize(bench.grad_in.raw());
-  }
-  state.SetLabel(state.range(1) == 1 ? "direct" : "im2col");
-}
-
-void ConvAlgoGrid(benchmark::internal::Benchmark* bench) {
-  bench->Args({8, static_cast<std::int64_t>(nn::Conv2dAlgo::kIm2col)})
-      ->Args({8, static_cast<std::int64_t>(nn::Conv2dAlgo::kDirect)});
-}
-BENCHMARK(BM_Conv2dFwd)->Apply(ConvAlgoGrid)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Conv2dBwd)->Apply(ConvAlgoGrid)->Unit(benchmark::kMillisecond);
 
 void BM_AggregationStep(benchmark::State& state) {
   // One node's Metropolis-Hastings aggregation over `degree` neighbors
@@ -871,7 +812,7 @@ int main(int argc, char** argv) {
   }
   if (quick) {
     args.insert(args.begin() + 1,
-                "--benchmark_filter=BM_Aggregate|BM_Gossip|BM_Codec|BM_Checkpoint|BM_Harvest|BM_Scenario|BM_Gemm(NN|NT|TN)(Blocked|Ref)|BM_Conv2d|BM_Obs|BM_Crc|BM_FaultedGossip|BM_EvaluateFleet|BM_DatasetBuild");
+                "--benchmark_filter=BM_Aggregate|BM_Gossip|BM_Codec|BM_Checkpoint|BM_Harvest|BM_Scenario|BM_Gemm(NN|NT|TN)(Blocked|Ref)|BM_Obs|BM_Crc|BM_FaultedGossip|BM_EvaluateFleet|BM_DatasetBuild");
     args.insert(args.begin() + 1, "--benchmark_min_time=0.05");
   }
   const bool has_out =

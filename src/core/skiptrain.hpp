@@ -35,7 +35,6 @@
 #include "metrics/consensus.hpp"
 #include "metrics/evaluator.hpp"
 #include "metrics/recorder.hpp"
-#include "nn/conv2d.hpp"
 #include "nn/gradcheck.hpp"
 #include "nn/init.hpp"
 #include "nn/loss.hpp"

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
 
 namespace skiptrain::nn {
@@ -29,15 +28,6 @@ void initialize(Sequential& model, util::Rng& rng, InitScheme scheme) {
           bound_for(scheme, linear->in_features(), linear->out_features());
       rng.fill_uniform(linear->weights(), -bound, bound);
       for (auto& b : linear->bias()) b = 0.0f;
-    } else if (auto* conv = dynamic_cast<Conv2d*>(&layer)) {
-      const std::size_t receptive = conv->kernel_size() * conv->kernel_size();
-      const std::size_t fan_in = conv->in_channels() * receptive;
-      const std::size_t fan_out = conv->out_channels() * receptive;
-      const float bound = bound_for(scheme, fan_in, fan_out);
-      auto params = conv->parameters();
-      const std::size_t weight_count = params.size() - conv->out_channels();
-      rng.fill_uniform(params.subspan(0, weight_count), -bound, bound);
-      for (auto& b : params.subspan(weight_count)) b = 0.0f;
     }
   }
 }

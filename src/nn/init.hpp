@@ -12,7 +12,7 @@ enum class InitScheme {
   kXavierUniform,   // Glorot & Bengio, for tanh networks
 };
 
-/// Initialises every Linear / Conv2d layer in `model`: weights from the
+/// Initialises every Linear layer in `model`: weights from the
 /// chosen scheme, biases to zero.
 void initialize(Sequential& model, util::Rng& rng,
                 InitScheme scheme = InitScheme::kKaimingUniform);

@@ -1,10 +1,7 @@
 #include "nn/model_zoo.hpp"
 
 #include "nn/activations.hpp"
-#include "nn/conv2d.hpp"
-#include "nn/groupnorm.hpp"
 #include "nn/linear.hpp"
-#include "nn/pool.hpp"
 
 namespace skiptrain::nn {
 
@@ -26,52 +23,6 @@ Sequential make_mlp(std::size_t in_features,
     prev = width;
   }
   model.emplace<Linear>(prev, classes);
-  return model;
-}
-
-Sequential make_cifar_cnn() {
-  // GN-LeNet (DecentralizePy / Hsieh et al. "non-IID quagmire"):
-  //   conv(3->32, 5x5, pad 2) + GN(2,32) + ReLU + pool2   -> 32 x 16 x 16
-  //   conv(32->32, 5x5, pad 2) + GN(2,32) + ReLU + pool2  -> 32 x 8 x 8
-  //   conv(32->64, 5x5, pad 2) + GN(2,64) + ReLU + pool2  -> 64 x 4 x 4
-  //   linear(1024 -> 10)
-  // Parameters: 2432 + 64 + 25632 + 64 + 51264 + 128 + 10250 = 89834.
-  Sequential model;
-  model.emplace<Conv2d>(3, 32, 5, 1, 2);
-  model.emplace<GroupNorm>(2, 32);
-  model.emplace<ReLU>();
-  model.emplace<MaxPool2d>(2);
-  model.emplace<Conv2d>(32, 32, 5, 1, 2);
-  model.emplace<GroupNorm>(2, 32);
-  model.emplace<ReLU>();
-  model.emplace<MaxPool2d>(2);
-  model.emplace<Conv2d>(32, 64, 5, 1, 2);
-  model.emplace<GroupNorm>(2, 64);
-  model.emplace<ReLU>();
-  model.emplace<MaxPool2d>(2);
-  model.emplace<Flatten>();
-  model.emplace<Linear>(64 * 4 * 4, 10);
-  return model;
-}
-
-Sequential make_femnist_cnn() {
-  // LEAF-style FEMNIST CNN:
-  //   conv(1->32, 5x5, pad 2) + ReLU + pool2   -> 32 x 14 x 14
-  //   conv(32->64, 5x5, pad 2) + ReLU + pool2  -> 64 x 7 x 7
-  //   linear(3136 -> 512) + ReLU
-  //   linear(512 -> 62)
-  // Parameters: 832 + 51264 + 1606144 + 31806 = 1690046.
-  Sequential model;
-  model.emplace<Conv2d>(1, 32, 5, 1, 2);
-  model.emplace<ReLU>();
-  model.emplace<MaxPool2d>(2);
-  model.emplace<Conv2d>(32, 64, 5, 1, 2);
-  model.emplace<ReLU>();
-  model.emplace<MaxPool2d>(2);
-  model.emplace<Flatten>();
-  model.emplace<Linear>(64 * 7 * 7, 512);
-  model.emplace<ReLU>();
-  model.emplace<Linear>(512, 62);
   return model;
 }
 

@@ -1,7 +1,8 @@
-// Model architectures. make_cifar_cnn / make_femnist_cnn reconstruct the
-// exact networks from the paper's Table 1 (89 834 and 1 690 046 parameters
-// respectively); the compact builders provide the scaled models used by the
-// default bench configuration so that 256-node simulations stay tractable.
+// Model architectures: the compact MLPs every sweep trains, plus the
+// general MLP and softmax builders they are made from. The paper's Table 1
+// CNNs (GN-LeNet, LEAF CNN) are not built here: they enter the simulator
+// only through their parameter counts, energy::WorkloadSpec::model_params,
+// which the energy model bills.
 #pragma once
 
 #include <cstddef>
@@ -10,10 +11,6 @@
 #include "nn/sequential.hpp"
 
 namespace skiptrain::nn {
-
-/// Parameter counts reported in Table 1 of the paper ("|x| Model size").
-inline constexpr std::size_t kPaperCifarModelSize = 89834;
-inline constexpr std::size_t kPaperFemnistModelSize = 1690046;
 
 /// Linear softmax classifier: Linear(in -> classes).
 [[nodiscard]] Sequential make_softmax_regression(std::size_t in_features,
@@ -24,16 +21,6 @@ inline constexpr std::size_t kPaperFemnistModelSize = 1690046;
 [[nodiscard]] Sequential make_mlp(std::size_t in_features,
                                   const std::vector<std::size_t>& hidden,
                                   std::size_t classes);
-
-/// GN-LeNet for CIFAR-10 (input [B, 3, 32, 32], 10 classes):
-/// 3x{Conv5x5 + GroupNorm + ReLU + MaxPool2} then Linear(1024 -> 10).
-/// Exactly kPaperCifarModelSize parameters.
-[[nodiscard]] Sequential make_cifar_cnn();
-
-/// LEAF-style CNN for FEMNIST (input [B, 1, 28, 28], 62 classes):
-/// 2x{Conv5x5 + ReLU + MaxPool2} then Linear(3136 -> 512) -> Linear(512 -> 62).
-/// Exactly kPaperFemnistModelSize parameters.
-[[nodiscard]] Sequential make_femnist_cnn();
 
 /// Compact MLP used by the scaled benches for the synthetic CIFAR-10 task
 /// (flat feature input, 10 classes).

@@ -27,7 +27,7 @@ class ParameterLayout {
   ParameterLayout() = default;
 
   /// Builds the layout of `model`'s current architecture. Parameter-free
-  /// layers (ReLU, pooling, ...) contribute no block.
+  /// layers (ReLU, Tanh) contribute no block.
   static ParameterLayout of(const nn::Sequential& model);
 
   /// Total parameter count (== Sequential::num_parameters()).

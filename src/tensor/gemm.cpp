@@ -1,28 +1,15 @@
-// Blocked, packed GEMM kernels (see gemm.hpp for the bit-identity
-// contract). The public gemm_nn/gemm_nt/gemm_tn entry points of
-// tensor/ops.hpp dispatch between three kernel families, all bitwise
-// identical to the seed reference loops, so every dispatch threshold is a
-// pure performance knob:
+// GEMM kernels (see gemm.hpp for the bit-identity contract). The public
+// gemm_nn/gemm_nt/gemm_tn entry points of tensor/ops.hpp dispatch between
+// kernel families that are all bitwise identical to the seed reference
+// loops, so every dispatch threshold is a pure performance knob:
 //
-//   * register-row kernels for gemm_nn / gemm_tn at the compact-MLP
-//     shapes (k, n <= kRowMax): no packing, one C row held in locals
-//     across the whole k extent;
-//   * the seed reference loops for other tiny or degenerate nn / tn
-//     shapes, and for gemm_nt below one register tile of rows (m < kMR)
-//     or past 64 Ki of depth;
-//   * the blocked kernels below for everything else. gemm_nt has no
-//     small-volume fallback: its edge tiles are zero-padded, so the
-//     10-wide and 62-wide classifier heads run the full register tile.
-//
-// Blocked kernel structure: B panels and A blocks are both repacked into
-// register-tile-wide slivers (kNR and kMR contiguous strips per k step),
-// so the microkernel inner loops are pure unit-stride vector code. The
-// reference loops' skip-zero-multiplier branch is honored by scanning
-// each A sliver for zeros while packing it: zero-free slivers (the common
-// case — model parameters and activations are continuous values) run a
-// branch-free microkernel, slivers holding zeros (e.g. post-ReLU
-// gradients in gemm_tn) run a blend microkernel whose
-// `acc = av == 0 ? acc : acc + av*b` select reproduces the skip bitwise.
+//   * gemm_nn / gemm_tn: register-row kernels for every row of at most
+//     kRowMax columns, at any depth k (every engine GEMM has n <= 64);
+//     the seed reference loops for wider rows;
+//   * gemm_nt: a packed register-tile kernel whose edge tiles are
+//     zero-padded, so the 10-wide and 62-wide classifier heads run the
+//     full tile; the reference loop below one tile of rows (m < kMR) or
+//     past 64 Ki of depth.
 //
 // ISA clones: the three entry points are compiled once per target in
 // SKIPTRAIN_GEMM_CLONES and picked at load time. Every kernel they call
@@ -36,18 +23,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
-#include <new>
-#include <vector>
+#include <stdexcept>
+#include <string>
 
 #include "obs/registry.hpp"
 #include "tensor/ops.hpp"
 #include "util/arena.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
 
 // Same guard as the quant codec kernels: GCC on x86-64 ELF emits the
 // IFUNC dispatch; ASan builds and other toolchains get the single
@@ -141,7 +122,7 @@ void gemm_tn_ref(std::size_t m, std::size_t k, std::size_t n,
 }
 
 // ---------------------------------------------------------------------------
-// Tuning
+// gemm_nt: packed register tiles
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -152,206 +133,15 @@ namespace {
 constexpr std::size_t kMR = 4;  // microkernel register-tile rows
 constexpr std::size_t kNR = 8;  // microkernel register-tile columns
 
-GemmTuning derive_tuning() {
-  GemmTuning t{};
-  t.l1d_bytes = 32 * 1024;
-  t.l2_bytes = 1024 * 1024;
-#if defined(_SC_LEVEL1_DCACHE_SIZE)
-  if (const long l1 = sysconf(_SC_LEVEL1_DCACHE_SIZE); l1 > 0) {
-    t.l1d_bytes = static_cast<std::size_t>(l1);
-  }
-#endif
-#if defined(_SC_LEVEL2_CACHE_SIZE)
-  if (const long l2 = sysconf(_SC_LEVEL2_CACHE_SIZE); l2 > 0) {
-    t.l2_bytes = static_cast<std::size_t>(l2);
-  }
-#endif
-  // One kc x kNR sliver of the packed B panel should occupy about a third
-  // of L1d so it stays hot while the microkernel walks an A row block.
-  const std::size_t kc_raw = t.l1d_bytes / (3 * sizeof(float) * kNR);
-  t.kc = std::clamp<std::size_t>(kc_raw & ~std::size_t{7}, 64, 512);
-  // The packed mc x kc block of A should fill about half of L2.
-  const std::size_t mc_raw = t.l2_bytes / (2 * sizeof(float) * t.kc);
-  t.mc = std::clamp<std::size_t>(mc_raw & ~(kMR - 1), kMR, 1024);
-  t.nc = 256;
-  return t;
-}
-
-/// Grow-only scratch for packed panels, backed by util::AlignedArena
-/// (64-byte aligned, huge-page-advised past 2 MiB; per thread — the
-/// engines run GEMMs from pool workers, never nested).
+/// Grow-only scratch for the packed gemm_nt slivers, backed by
+/// util::AlignedArena (64-byte aligned, huge-page-advised past 2 MiB; per
+/// thread — the engines run GEMMs from pool workers, never nested).
 struct PackScratch {
-  util::AlignedArena a;                // packed A slivers
-  util::AlignedArena b;                // packed B slivers
-  std::vector<std::uint8_t> a_zeros;   // per-A-sliver "contains a zero" flag
+  util::AlignedArena a;  // packed A sliver
+  util::AlignedArena b;  // packed, transposed B panel
 };
 
 thread_local PackScratch t_scratch;
-
-// ---------------------------------------------------------------------------
-// Panel packing
-//
-// B panels: sliver s holds rows p of columns [j0, j0 + kNR) back to back
-// (dst[s * depth * kNR + p * kNR + jj]), so the microkernel's per-p load
-// is one contiguous strip. A blocks: sliver s holds the kMR rows
-// [i0, i0 + kMR) interleaved per p (dst[s * depth * kMR + p * kMR + r]),
-// so the per-p multiplier loads are contiguous too. Edge slivers pack
-// only their live lanes; the C-accumulating microkernels never read past
-// mr/nr. (gemm_nt packs its own slivers, zero-padded; see
-// gemm_nt_blocked.)
-// ---------------------------------------------------------------------------
-
-/// Packs `depth` rows x nc columns of row-major storage starting at src
-/// (row stride ld) into kNR-column slivers.
-[[gnu::always_inline]] inline void pack_b_slivers(
-    const float* __restrict__ src, std::size_t ld, std::size_t depth,
-    std::size_t nc, float* __restrict__ dst) {
-  for (std::size_t j0 = 0; j0 < nc; j0 += kNR) {
-    const std::size_t w = std::min(kNR, nc - j0);
-    float* __restrict__ out = dst + (j0 / kNR) * depth * kNR;
-    const float* __restrict__ in = src + j0;
-    if (w == kNR) {
-      for (std::size_t p = 0; p < depth; ++p) {
-        std::memcpy(out + p * kNR, in + p * ld, kNR * sizeof(float));
-      }
-    } else {
-      for (std::size_t p = 0; p < depth; ++p) {
-        std::memcpy(out + p * kNR, in + p * ld, w * sizeof(float));
-      }
-    }
-  }
-}
-
-/// Packs A[ic..ic+mc, pc..pc+kc] of a row-major [m, k] matrix (lda == k)
-/// into kMR-row slivers, recording per sliver whether it holds any exact
-/// zero (selects the skip-preserving microkernel).
-[[gnu::always_inline]] inline void pack_a_rows(
-    const float* __restrict__ a, std::size_t lda, std::size_t ic,
-    std::size_t pc, std::size_t mc, std::size_t kc, float* __restrict__ dst,
-    std::uint8_t* __restrict__ zeros) {
-  for (std::size_t i0 = 0; i0 < mc; i0 += kMR) {
-    const std::size_t w = std::min(kMR, mc - i0);
-    float* __restrict__ out = dst + (i0 / kMR) * kc * kMR;
-    bool any_zero = false;
-    for (std::size_t r = 0; r < w; ++r) {
-      const float* __restrict__ src = a + (ic + i0 + r) * lda + pc;
-      float* __restrict__ o = out + r;
-      for (std::size_t p = 0; p < kc; ++p) {
-        const float v = src[p];
-        o[p * kMR] = v;
-        any_zero |= (v == 0.0f);
-      }
-    }
-    zeros[i0 / kMR] = any_zero ? 1 : 0;
-  }
-}
-
-/// Packs A[pc..pc+kc, ic..ic+mc] of a row-major [k, m] matrix (lda == m —
-/// the gemm_tn layout) into kMR-row slivers with zero flags.
-[[gnu::always_inline]] inline void pack_a_cols(
-    const float* __restrict__ a, std::size_t lda, std::size_t ic,
-    std::size_t pc, std::size_t mc, std::size_t kc, float* __restrict__ dst,
-    std::uint8_t* __restrict__ zeros) {
-  for (std::size_t i0 = 0; i0 < mc; i0 += kMR) {
-    const std::size_t w = std::min(kMR, mc - i0);
-    float* __restrict__ out = dst + (i0 / kMR) * kc * kMR;
-    bool any_zero = false;
-    for (std::size_t p = 0; p < kc; ++p) {
-      const float* __restrict__ src = a + (pc + p) * lda + ic + i0;
-      float* __restrict__ o = out + p * kMR;
-      for (std::size_t r = 0; r < w; ++r) {
-        const float v = src[r];
-        o[r] = v;
-        any_zero |= (v == 0.0f);
-      }
-    }
-    zeros[i0 / kMR] = any_zero ? 1 : 0;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Microkernels. All operands are packed slivers: A row p at ap + p * kMR,
-// B row p at bp + p * kNR.
-// ---------------------------------------------------------------------------
-
-template <bool kFull>
-[[gnu::always_inline]] inline void load_c_tile(
-    float (&acc)[kMR][kNR], std::size_t mr, std::size_t nr,
-    const float* __restrict__ c, std::size_t ldc, float beta,
-    bool first_block) {
-  const std::size_t rows = kFull ? kMR : mr;
-  const std::size_t cols = kFull ? kNR : nr;
-  if (!first_block || beta == 1.0f) {
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t j = 0; j < cols; ++j) acc[r][j] = c[r * ldc + j];
-    }
-  } else if (beta == 0.0f) {
-    // Write-only C: never read (it may be uninitialized or NaN-poisoned).
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t j = 0; j < cols; ++j) acc[r][j] = 0.0f;
-    }
-  } else {
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t j = 0; j < cols; ++j) acc[r][j] = c[r * ldc + j] * beta;
-    }
-  }
-}
-
-template <bool kFull>
-[[gnu::always_inline]] inline void store_c_tile(
-    const float (&acc)[kMR][kNR], std::size_t mr, std::size_t nr,
-    float* __restrict__ c, std::size_t ldc) {
-  const std::size_t rows = kFull ? kMR : mr;
-  const std::size_t cols = kFull ? kNR : nr;
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t j = 0; j < cols; ++j) c[r * ldc + j] = acc[r][j];
-  }
-}
-
-/// C-accumulating tile for gemm_nn / gemm_tn, zero-free A sliver: the
-/// reference skip branch can never fire, so the plain fused loop is
-/// bitwise identical and fully vectorizable.
-[[gnu::always_inline]] inline void micro_cacc_fast(
-    std::size_t kc, const float* __restrict__ ap, const float* __restrict__ bp,
-    float* __restrict__ c, std::size_t ldc, float beta, bool first_block) {
-  float acc[kMR][kNR];
-  load_c_tile<true>(acc, kMR, kNR, c, ldc, beta, first_block);
-  for (std::size_t p = 0; p < kc; ++p) {
-    const float* __restrict__ arow = ap + p * kMR;
-    const float* __restrict__ brow = bp + p * kNR;
-    for (std::size_t r = 0; r < kMR; ++r) {
-      const float av = arow[r];
-      for (std::size_t j = 0; j < kNR; ++j) acc[r][j] += av * brow[j];
-    }
-  }
-  store_c_tile<true>(acc, kMR, kNR, c, ldc);
-}
-
-/// C-accumulating tile for A slivers that DO hold zeros (and for edge
-/// tiles): the select keeps the old accumulator when av == 0, which is
-/// bitwise the reference's skip (an av of exactly zero contributes not
-/// even a sign flip), and if-converts to a vector blend.
-template <bool kFull>
-[[gnu::always_inline]] inline void micro_cacc_guard(
-    std::size_t mr, std::size_t nr, std::size_t kc,
-    const float* __restrict__ ap, const float* __restrict__ bp,
-    float* __restrict__ c, std::size_t ldc, float beta, bool first_block) {
-  const std::size_t rows = kFull ? kMR : mr;
-  const std::size_t cols = kFull ? kNR : nr;
-  float acc[kMR][kNR];
-  load_c_tile<kFull>(acc, mr, nr, c, ldc, beta, first_block);
-  for (std::size_t p = 0; p < kc; ++p) {
-    const float* __restrict__ arow = ap + p * kMR;
-    const float* __restrict__ brow = bp + p * kNR;
-    for (std::size_t r = 0; r < rows; ++r) {
-      const float av = arow[r];
-      for (std::size_t j = 0; j < cols; ++j) {
-        acc[r][j] = (av == 0.0f) ? acc[r][j] : acc[r][j] + av * brow[j];
-      }
-    }
-  }
-  store_c_tile<kFull>(acc, mr, nr, c, ldc);
-}
 
 /// Register tile for gemm_nt: fresh dot accumulators over the whole k
 /// extent (p ascending — the reference op sequence). No zero skip: the
@@ -380,67 +170,18 @@ template <bool kFull>
 [[gnu::always_inline]] inline void store_nt_tile(
     const float (&acc)[kMR][kNR], std::size_t mr, std::size_t nr,
     float* __restrict__ c, std::size_t ldc, float beta) {
-  if (beta == 0.0f) {
-    // Write-only C: never read (it may be uninitialized or NaN-poisoned).
-    store_c_tile<kFull>(acc, mr, nr, c, ldc);
-    return;
-  }
   const std::size_t rows = kFull ? kMR : mr;
   const std::size_t cols = kFull ? kNR : nr;
+  if (beta == 0.0f) {
+    // Write-only C: never read (it may be uninitialized or NaN-poisoned).
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t j = 0; j < cols; ++j) c[r * ldc + j] = acc[r][j];
+    }
+    return;
+  }
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t j = 0; j < cols; ++j) {
       c[r * ldc + j] = beta * c[r * ldc + j] + acc[r][j];
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Blocked drivers
-// ---------------------------------------------------------------------------
-
-/// Shared driver for the two C-accumulating variants; PackA packs the
-/// (ic, pc, mc, kc) block of A into slivers + zero flags.
-template <typename PackA>
-[[gnu::always_inline]] inline void gemm_cacc_blocked(
-    std::size_t m, std::size_t k, std::size_t n, std::span<const float> b,
-    std::span<float> c, float beta, PackA&& pack_a) {
-  const GemmTuning& tun = gemm_tuning();
-  float* bp = t_scratch.b.ensure_floats(tun.kc * (tun.nc + kNR));
-  float* ap = t_scratch.a.ensure_floats(tun.kc * (tun.mc + kMR));
-  t_scratch.a_zeros.resize(tun.mc / kMR + 1);
-  std::uint8_t* zeros = t_scratch.a_zeros.data();
-  for (std::size_t jc = 0; jc < n; jc += tun.nc) {
-    const std::size_t nc = std::min(tun.nc, n - jc);
-    for (std::size_t pc = 0; pc < k; pc += tun.kc) {
-      const std::size_t kc = std::min(tun.kc, k - pc);
-      const bool first = pc == 0;
-      pack_b_slivers(b.data() + pc * n + jc, n, kc, nc, bp);
-      for (std::size_t ic = 0; ic < m; ic += tun.mc) {
-        const std::size_t mc = std::min(tun.mc, m - ic);
-        pack_a(ic, pc, mc, kc, ap, zeros);
-        for (std::size_t i0 = 0; i0 < mc; i0 += kMR) {
-          const std::size_t mr = std::min(kMR, mc - i0);
-          const float* asliver = ap + (i0 / kMR) * kc * kMR;
-          const bool has_zero = zeros[i0 / kMR] != 0;
-          float* crow = c.data() + (ic + i0) * n + jc;
-          for (std::size_t j0 = 0; j0 < nc; j0 += kNR) {
-            const std::size_t nr = std::min(kNR, nc - j0);
-            const float* bsliver = bp + (j0 / kNR) * kc * kNR;
-            if (mr == kMR && nr == kNR) {
-              if (has_zero) {
-                micro_cacc_guard<true>(kMR, kNR, kc, asliver, bsliver,
-                                       crow + j0, n, beta, first);
-              } else {
-                micro_cacc_fast(kc, asliver, bsliver, crow + j0, n, beta,
-                                first);
-              }
-            } else {
-              micro_cacc_guard<false>(mr, nr, kc, asliver, bsliver, crow + j0,
-                                      n, beta, first);
-            }
-          }
-        }
-      }
     }
   }
 }
@@ -504,27 +245,24 @@ template <typename PackA>
   }
 }
 
-/// Below this work volume the packing overhead of the C-accumulating
-/// blocked kernels outweighs the locality win; both sides are bitwise
-/// identical, so the threshold is purely a perf knob.
-constexpr std::size_t kBlockedMinVolume = 32 * 1024;
-
 // ---------------------------------------------------------------------------
-// Register-row kernels: the compact-MLP shapes (k, n <= kRowMax)
+// gemm_nn / gemm_tn: register-row kernels
 //
-// At 32x16x64 the packing and tile dispatch of the blocked path cost more
-// than the multiply-adds. These kernels pack nothing: the i loop is
-// outermost and one C row lives in locals across the whole k extent — the
-// first kNV * kLanes columns in a fixed-size array the compiler keeps in
-// vector registers (eight AVX2 registers at n = 64), the n % kLanes tail
-// columns in a small array beside it. Each element sees exactly the
-// reference's op sequence. gemm_nt keeps the blocked path: its reference
-// is a dot product per element, so a row kernel would first have to
-// transpose B, and measured end to end that gains nothing.
+// No packing: the i loop is outermost and one C row lives in locals across
+// a kChunk-deep stretch of k — the first kNV * kLanes columns in a
+// fixed-size array the compiler keeps in vector registers (eight AVX2
+// registers at n = 64), the n % kLanes tail columns in a small array
+// beside it. Each element sees exactly the reference's op sequence: beta
+// first, then p ascending, skipping every p whose multiplier is zero.
+// gemm_nt has no row kernel: its reference is a dot product per element,
+// so a row kernel would first have to transpose B, and measured end to
+// end that gains nothing.
 // ---------------------------------------------------------------------------
 
-/// Widest row and deepest k the register-row kernels take.
+/// Widest row the register-row kernels take.
 constexpr std::size_t kRowMax = 64;
+/// Depth of k whose nonzero multipliers are compacted at a time.
+constexpr std::size_t kChunk = 64;
 /// Columns per vector register on the widest clone (AVX2: 8 floats).
 constexpr std::size_t kLanes = 8;
 
@@ -536,22 +274,22 @@ constexpr std::size_t kLanes = 8;
 #define SKIPTRAIN_UNROLL_ROW _Pragma("GCC unroll 64")
 #endif
 
-/// gemm_nn / gemm_tn for n in [kNV * kLanes, kNV * kLanes + kLanes):
-/// multiplier A(i, p) = a[i * a_row + p * a_step] (nn: a_row = k,
-/// a_step = 1; tn: a_row = 1, a_step = m), B row p at b + p * n. Beta is
-/// applied first, then p ascends with `acc += a * b`. A zero multiplier
-/// skips its B row entirely: the nonzero multipliers of a row are
-/// compacted up front, so the work shrinks with post-ReLU sparsity and
-/// no branch is mispredicted per p.
+/// gemm_nn / gemm_tn for n in [kNV * kLanes, kNV * kLanes + kLanes) and
+/// k <= kChunk: multiplier A(i, p) = a[i * a_row + p * a_step] (nn:
+/// a_row = k, a_step = 1; tn: a_row = 1, a_step = m), B row p at
+/// b + p * n. Beta is applied first, then p ascends with `acc += a * b`.
+/// A zero multiplier skips its B row entirely: the nonzero multipliers of
+/// a row are compacted up front, so the work shrinks with post-ReLU
+/// sparsity and no branch is mispredicted per p.
 template <std::size_t kNV>
-[[gnu::always_inline]] inline void gemm_row_kernel(
+[[gnu::always_inline]] inline void gemm_row_chunk(
     std::size_t m, std::size_t k, std::size_t n, const float* __restrict__ a,
     std::size_t a_row, std::size_t a_step, const float* __restrict__ b,
     float* __restrict__ c, float beta) {
   constexpr std::size_t kW = kNV * kLanes;
   const std::size_t tail = n - kW;
-  const float* brows[kRowMax];
-  float mults[kRowMax];
+  const float* brows[kChunk];
+  float mults[kChunk];
   for (std::size_t i = 0; i < m; ++i) {
     float* __restrict__ ci = c + i * n;
     float acc[kW > 0 ? kW : 1];
@@ -590,6 +328,30 @@ template <std::size_t kNV>
   }
 }
 
+/// gemm_nn / gemm_tn at any depth: the rows run over one kChunk-deep
+/// stretch of k at a time, the first stretch applying beta and each later
+/// one continuing from C with beta 1. Storing and reloading a float is
+/// exact, so every element still sees beta first, then p ascending under
+/// the skip-zero rule. The single stretch of k <= kChunk (every compact-MLP
+/// GEMM at batch <= 64, k == 0 included) gets a call of its own: folded
+/// into the loop, or with the C row kept in registers across stretches,
+/// those shapes measured 5-40% slower.
+template <std::size_t kNV>
+[[gnu::always_inline]] inline void gemm_row_kernel(
+    std::size_t m, std::size_t k, std::size_t n, const float* a,
+    std::size_t a_row, std::size_t a_step, const float* b, float* c,
+    float beta) {
+  if (k <= kChunk) {
+    gemm_row_chunk<kNV>(m, k, n, a, a_row, a_step, b, c, beta);
+    return;
+  }
+  for (std::size_t p0 = 0; p0 < k; p0 += kChunk) {
+    gemm_row_chunk<kNV>(m, std::min(kChunk, k - p0), n, a + p0 * a_step,
+                        a_row, a_step, b + p0 * n, c,
+                        p0 == 0 ? beta : 1.0f);
+  }
+}
+
 /// Runs the gemm_row_kernel instance whose register width covers n
 /// (kNV = n / kLanes, found by compile-time recursion).
 template <std::size_t kNV = 0>
@@ -606,23 +368,9 @@ template <std::size_t kNV = 0>
   gemm_row_kernel<kNV>(m, k, n, a, a_row, a_step, b, c, beta);
 }
 
-/// True when (k, n) fits the register-row kernels.
-constexpr bool fits_rows(std::size_t k, std::size_t n) {
-  return k <= kRowMax && n <= kRowMax;
-}
-
-}  // namespace
-
-const GemmTuning& gemm_tuning() {
-  static const GemmTuning tuning = derive_tuning();
-  return tuning;
-}
-
 // ---------------------------------------------------------------------------
 // Public entry points (declared in tensor/ops.hpp)
 // ---------------------------------------------------------------------------
-
-namespace {
 
 /// Telemetry tap at the dispatch layer: call and MAC volume, not timing —
 /// per-call spans would dwarf the work at training's small shapes.
@@ -633,36 +381,38 @@ void note_gemm(std::size_t m, std::size_t k, std::size_t n) {
   macs.add(static_cast<std::uint64_t>(m) * k * n);
 }
 
+/// The span-size check at the API edge: one comparison per call, kept in
+/// every build type (an assert would vanish in Release).
+void require_spans(bool fits, const char* what) {
+  if (!fits) {
+    throw std::invalid_argument(std::string(what) +
+                                ": a span is shorter than its operand");
+  }
+}
+
 }  // namespace
 
 SKIPTRAIN_GEMM_CLONES
 void gemm_nn(std::size_t m, std::size_t k, std::size_t n,
              std::span<const float> a, std::span<const float> b,
              std::span<float> c, float beta) {
-  assert(a.size() >= m * k && b.size() >= k * n && c.size() >= m * n);
+  require_spans(a.size() >= m * k && b.size() >= k * n && c.size() >= m * n,
+                "gemm_nn");
   note_gemm(m, k, n);
-  // k == 0 must still apply beta to C — both small paths handle it.
-  if (fits_rows(k, n)) {
+  // k == 0 must still apply beta to C — both paths handle it.
+  if (n <= kRowMax) {
     gemm_rows(m, k, n, a.data(), k, 1, b.data(), c.data(), beta);
     return;
   }
-  if (n < 8 || m * k * n < kBlockedMinVolume) {
-    gemm_nn_ref(m, k, n, a, b, c, beta);
-    return;
-  }
-  gemm_cacc_blocked(
-      m, k, n, b, c, beta,
-      [&a, k](std::size_t ic, std::size_t pc, std::size_t mc, std::size_t kc,
-              float* dst, std::uint8_t* zeros) {
-        pack_a_rows(a.data(), k, ic, pc, mc, kc, dst, zeros);
-      });
+  gemm_nn_ref(m, k, n, a, b, c, beta);
 }
 
 SKIPTRAIN_GEMM_CLONES
 void gemm_nt(std::size_t m, std::size_t k, std::size_t n,
              std::span<const float> a, std::span<const float> b,
              std::span<float> c, float beta) {
-  assert(a.size() >= m * k && b.size() >= n * k && c.size() >= m * n);
+  require_spans(a.size() >= m * k && b.size() >= n * k && c.size() >= m * n,
+                "gemm_nt");
   note_gemm(m, k, n);
   // Fewer rows than one tile cannot amortize the B pack, and past 64 Ki
   // of depth the packed panel would outgrow its few-MB budget.
@@ -677,22 +427,14 @@ SKIPTRAIN_GEMM_CLONES
 void gemm_tn(std::size_t m, std::size_t k, std::size_t n,
              std::span<const float> a, std::span<const float> b,
              std::span<float> c, float beta) {
-  assert(a.size() >= k * m && b.size() >= k * n && c.size() >= m * n);
+  require_spans(a.size() >= k * m && b.size() >= k * n && c.size() >= m * n,
+                "gemm_tn");
   note_gemm(m, k, n);
-  if (fits_rows(k, n)) {
+  if (n <= kRowMax) {
     gemm_rows(m, k, n, a.data(), 1, m, b.data(), c.data(), beta);
     return;
   }
-  if (n < 8 || m * k * n < kBlockedMinVolume) {
-    gemm_tn_ref(m, k, n, a, b, c, beta);
-    return;
-  }
-  gemm_cacc_blocked(
-      m, k, n, b, c, beta,
-      [&a, m](std::size_t ic, std::size_t pc, std::size_t mc, std::size_t kc,
-              float* dst, std::uint8_t* zeros) {
-        pack_a_cols(a.data(), m, ic, pc, mc, kc, dst, zeros);
-      });
+  gemm_tn_ref(m, k, n, a, b, c, beta);
 }
 
 }  // namespace skiptrain::tensor

@@ -1,36 +1,30 @@
-// Blocked, packed GEMM kernel layer behind the gemm_nn/gemm_nt/gemm_tn
-// entry points of tensor/ops.hpp.
+// GEMM kernel layer behind the gemm_nn/gemm_nt/gemm_tn entry points of
+// tensor/ops.hpp.
 //
 // Bit-identity contract
 // ---------------------
 // The seed triple-loop kernels are retained verbatim below as
 // `gemm_*_ref` and serve as verification oracles: for every input the
-// blocked kernels must produce bitwise identical C. The blocked kernels
-// earn this by visiting each output element's k-dimension in exactly the
-// seed's sequential order:
+// fast kernels must produce bitwise identical C. They earn this by
+// visiting each output element's k-dimension in exactly the seed's
+// sequential order:
 //
-//   * gemm_nn / gemm_tn accumulate directly into C (beta applied once,
-//     before the first k-block touches an element; k-blocks then visit p
-//     in ascending order, carrying the element through registers within a
-//     block and through C memory across blocks). The seed's
+//   * gemm_nn / gemm_tn have two paths. Rows of at most 64 columns (every
+//     GEMM the engines run) take a register-row kernel at any depth: beta
+//     is applied once, then p ascends with the C row held in registers
+//     over each 64-deep stretch of k and carried through C between
+//     stretches (an exact store and reload), and the seed's
 //     skip-zero-multiplier branch is preserved per (element-of-A, p).
+//     Wider rows take the reference loops.
 //   * gemm_nt keeps one register accumulator per output element across
 //     the whole k extent (fresh dot, p ascending) and only then combines
-//     with beta — the same op sequence as the reference inner loop.
+//     with beta — the same op sequence as the reference inner loop. Its
+//     packed 4x8 register tile zero-pads the edge slivers and stores only
+//     the live lanes.
 //
 // Every accumulation is written in the same `acc += a * b` expression
 // shape as the reference loops, so FP contraction (when a target enables
-// FMA) applies to both sides identically.
-//
-// What the blocked kernels add is purely locality and ILP: B panels are
-// packed into dense aligned scratch sized from L1/L2 (measured once at
-// startup), the microkernel holds a 4x8 register tile, and restrict-
-// qualified unit-stride inner loops let the compiler vectorize. gemm_nn
-// and gemm_tn at k, n <= 64 (the compact MLPs every sweep trains) skip
-// packing and run register-row kernels under the same per-element
-// discipline. gemm_nt zero-pads its edge slivers and runs the full tile
-// on every shape of at least four rows (one register tile), storing
-// only the live lanes; see gemm.cpp.
+// FMA) applies to both sides identically. See gemm.cpp.
 #pragma once
 
 #include <cstddef>
@@ -38,22 +32,10 @@
 
 namespace skiptrain::tensor {
 
-/// Cache-derived blocking parameters, computed once per process.
-struct GemmTuning {
-  std::size_t l1d_bytes;  // detected (or default 32 KiB)
-  std::size_t l2_bytes;   // detected (or default 1 MiB)
-  std::size_t mc;         // A rows per L2-resident block
-  std::size_t kc;         // k depth per packed B panel (panel row hot in L1)
-  std::size_t nc;         // B columns per packed panel
-};
-
-/// Process-wide tuning derived from L1d/L2 at first use.
-[[nodiscard]] const GemmTuning& gemm_tuning();
-
 // ---------------------------------------------------------------------------
 // Reference kernels: the seed loops, kept for verification and as the
-// fallback for tiny shapes outside the register-row and padded-tile
-// paths. Signatures mirror tensor/ops.hpp.
+// fallback for the shapes outside the register-row and padded-tile paths.
+// Signatures mirror tensor/ops.hpp.
 // ---------------------------------------------------------------------------
 
 /// C[m,n] = A[m,k] * B[k,n] + beta * C  (seed i-k-j loop)

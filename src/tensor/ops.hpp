@@ -58,10 +58,12 @@ void subtract(std::span<const float> a, std::span<const float> b,
 // ---------------------------------------------------------------------------
 // Level-3: matrix multiplication
 //
-// Implemented as cache-blocked, packing kernels plus no-pack register-row
-// kernels for small gemm_nn / gemm_tn shapes (tensor/gemm.cpp), all
-// bitwise identical to the seed triple loops, which tensor/gemm.hpp
-// retains as gemm_*_ref verification oracles.
+// Implemented as no-pack register-row kernels for gemm_nn / gemm_tn and a
+// packed register-tile kernel for gemm_nt (tensor/gemm.cpp), all bitwise
+// identical to the seed triple loops, which tensor/gemm.hpp retains as
+// gemm_*_ref verification oracles. Each throws std::invalid_argument when
+// a span is shorter than the operand its dimensions describe, in every
+// build type.
 // ---------------------------------------------------------------------------
 
 /// C[m,n] = A[m,k] * B[k,n] + beta * C

@@ -1,8 +1,10 @@
-// Bit-identity of the blocked and register-row GEMM kernels against the
-// retained seed loops (gemm_*_ref). The contract is exact: for every
-// input — including degenerate dims, non-square panels, every beta case,
-// zero-heavy A (the skip-zero branch), and NaN-poisoned C with beta == 0
-// — the fast kernels must produce bitwise identical C.
+// Bit-identity of the register-row and padded-tile GEMM kernels against
+// the retained seed loops (gemm_*_ref). The contract is exact: for every
+// input — including degenerate dims, every beta case, depths on both
+// sides of the row kernel's 64-deep compaction chunks, rows wider than 64
+// (which take the reference), zero-heavy A (the skip-zero branch), and
+// NaN-poisoned C with beta == 0 — the fast kernels must produce bitwise
+// identical C.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +13,7 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -35,36 +38,41 @@ void expect_bitwise_equal(const std::vector<float>& got,
 }
 
 /// Runs all three variants at (m, k, n) x beta in {0, 1, 0.5} and compares
-/// blocked vs reference bitwise. `sparsify` zeroes a fraction of A to
-/// exercise the skip-zero-multiplier branch.
+/// the dispatched kernel against the reference bitwise; at beta 0, C is
+/// NaN-poisoned. A random `zero_share` of A is zeroed to exercise the
+/// skip-zero-multiplier branch.
 void check_shape(std::size_t m, std::size_t k, std::size_t n,
-                 std::uint64_t seed, bool sparsify) {
+                 std::uint64_t seed, double zero_share) {
   util::Rng rng(seed);
   std::vector<float> a(m * k);  // same extent whichever layout reads it
   std::vector<float> b(k * n);
   if (!a.empty()) rng.fill_normal(a, 0.0f, 1.0f);
   if (!b.empty()) rng.fill_normal(b, 0.0f, 1.0f);
-  if (sparsify) {
-    for (std::size_t i = 0; i < a.size(); i += 3) a[i] = 0.0f;
+  for (float& x : a) {
+    if (rng.uniform() < zero_share) x = 0.0f;
   }
   std::vector<float> c_init(m * n);
   if (!c_init.empty()) rng.fill_normal(c_init, 0.0f, 1.0f);
 
   for (const float beta : {0.0f, 1.0f, 0.5f}) {
+    std::vector<float> c0 = c_init;
+    if (beta == 0.0f) {
+      std::fill(c0.begin(), c0.end(), std::numeric_limits<float>::quiet_NaN());
+    }
     {
-      std::vector<float> c = c_init, ref = c_init;
+      std::vector<float> c = c0, ref = c0;
       gemm_nn(m, k, n, a, b, c, beta);
       gemm_nn_ref(m, k, n, a, b, ref, beta);
       expect_bitwise_equal(c, ref, "gemm_nn", m, k, n, beta);
     }
     {
-      std::vector<float> c = c_init, ref = c_init;
+      std::vector<float> c = c0, ref = c0;
       gemm_nt(m, k, n, a, b, c, beta);
       gemm_nt_ref(m, k, n, a, b, ref, beta);
       expect_bitwise_equal(c, ref, "gemm_nt", m, k, n, beta);
     }
     {
-      std::vector<float> c = c_init, ref = c_init;
+      std::vector<float> c = c0, ref = c0;
       gemm_tn(m, k, n, a, b, c, beta);
       gemm_tn_ref(m, k, n, a, b, ref, beta);
       expect_bitwise_equal(c, ref, "gemm_tn", m, k, n, beta);
@@ -83,44 +91,68 @@ TEST(GemmBlocked, DegenerateAndUnitDims) {
         {1, 64, 300},
         {300, 64, 1},
         {257, 1, 33}}) {
-    check_shape(m, k, n, 1000 + m * 31 + k * 7 + n, false);
+    check_shape(m, k, n, 1000 + m * 31 + k * 7 + n, 0.0);
   }
 }
 
-TEST(GemmBlocked, NonSquarePanelsCrossBlockBoundaries) {
-  // Shapes straddling the microkernel tile (4x8) and the cache blocks
-  // (kc/mc/nc from gemm_tuning), including off-by-one edges.
-  const GemmTuning& tun = gemm_tuning();
-  check_shape(3, 5, 17, 1, false);
-  check_shape(4, 16, 16, 2, false);
-  check_shape(5, 33, 31, 3, false);
-  check_shape(64, 100, 48, 4, false);
-  check_shape(70, tun.kc + 1, 40, 5, false);
-  check_shape(tun.mc + 3, 65, 19, 6, false);
-  check_shape(40, 120, tun.nc + 9, 7, false);
-  check_shape(129, 257, 65, 8, false);
+TEST(GemmBlocked, NonSquareShapesCrossTileEdges) {
+  // Shapes straddling the gemm_nt register tile (4x8), including
+  // off-by-one edges.
+  check_shape(3, 5, 17, 1, 0.0);
+  check_shape(4, 16, 16, 2, 0.0);
+  check_shape(5, 33, 31, 3, 0.0);
+  check_shape(64, 100, 48, 4, 0.0);
+  check_shape(70, 257, 40, 5, 0.0);
+  check_shape(259, 65, 19, 6, 0.0);
+  check_shape(40, 120, 265, 7, 0.0);
+  check_shape(129, 257, 65, 8, 0.0);
+}
+
+TEST(GemmBlocked, RowKernelChunkBoundaries) {
+  // The register-row kernel compacts nonzero multipliers 64 deep at a
+  // time while the C row stays in registers: depths on both sides of one,
+  // two and four chunks, at every row-width class (a lone tail lane, a
+  // tail only, one full register, a register plus tail, and 48 and 64
+  // wide, as the compact MLPs run).
+  std::uint64_t seed = 2000;
+  for (const std::size_t k : {63, 64, 65, 127, 128, 129, 257}) {
+    for (const std::size_t n : {1, 7, 8, 10, 48, 64}) {
+      check_shape(9, k, n, ++seed, 0.0);
+    }
+  }
+}
+
+TEST(GemmBlocked, RowsWiderThan64TakeTheReference) {
+  check_shape(33, 70, 65, 21, 0.0);
+  check_shape(16, 129, 800, 22, 0.34);
+  check_shape(6, 100, 3136, 23, 0.0);
 }
 
 TEST(GemmBlocked, ZeroHeavyAPreservesSkipBranch) {
-  check_shape(48, 96, 40, 11, true);
-  check_shape(33, tensor::gemm_tuning().kc + 5, 37, 12, true);
+  check_shape(48, 96, 40, 11, 0.34);
+  check_shape(33, 261, 37, 12, 0.34);
+  // Past one chunk, with whole 64-deep stretches of zero multipliers.
+  for (const double zero_share : {0.45, 0.9, 0.99, 1.0}) {
+    check_shape(17, 200, 64, 13, zero_share);
+    check_shape(17, 130, 10, 14, zero_share);
+  }
 }
 
 TEST(GemmBlocked, LongAccumulationFuzz) {
-  // Many k steps stress the cross-block accumulator carry: any deviation
-  // from the seed's per-element op order shows up as a bit flip here.
+  // Many k steps stress the accumulator carry: any deviation from the
+  // seed's per-element op order shows up as a bit flip here.
   for (std::uint64_t trial = 0; trial < 6; ++trial) {
     util::Rng shape_rng(500 + trial);
     const auto m = static_cast<std::size_t>(1 + shape_rng.uniform_int(90));
     const auto k = static_cast<std::size_t>(1 + shape_rng.uniform_int(700));
     const auto n = static_cast<std::size_t>(1 + shape_rng.uniform_int(90));
-    check_shape(m, k, n, 9000 + trial, trial % 2 == 1);
+    check_shape(m, k, n, 9000 + trial, trial % 2 == 1 ? 0.34 : 0.0);
   }
 }
 
 TEST(GemmBlocked, BetaZeroNeverReadsCAnyVariantAnyPath) {
   // NaN-C regression for all three variants, on shapes that take the
-  // blocked path AND shapes that take the reference fallback.
+  // fast kernels AND shapes that take the reference fallback.
   const float nan = std::numeric_limits<float>::quiet_NaN();
   for (const auto& [m, k, n] :
        {std::tuple<std::size_t, std::size_t, std::size_t>{3, 4, 2},
@@ -275,15 +307,24 @@ TEST(GemmSmall, ForwardShapesWithPaddedEdgeTilesMatchReferenceBitwise) {
   }
 }
 
-TEST(GemmTuning, DerivedBlocksAreSane) {
-  const GemmTuning& tun = gemm_tuning();
-  EXPECT_GE(tun.kc, 64u);
-  EXPECT_LE(tun.kc, 512u);
-  EXPECT_GE(tun.mc, 4u);
-  EXPECT_LE(tun.mc, 1024u);
-  EXPECT_EQ(tun.nc % 16, 0u);
-  EXPECT_GT(tun.l1d_bytes, 0u);
-  EXPECT_GT(tun.l2_bytes, tun.l1d_bytes);
+// The span-size checks are thrown errors, so they hold in Release builds
+// too, where an assert would vanish.
+TEST(GemmApi, ShortSpanThrowsInEveryBuild) {
+  using Gemm = void (*)(std::size_t, std::size_t, std::size_t,
+                        std::span<const float>, std::span<const float>,
+                        std::span<float>, float);
+  // m = 2, k = 3, n = 4: every layout needs 6 floats of A, 12 of B and 8
+  // of C.
+  std::vector<float> a(6, 1.0f), b(12, 1.0f), c(8, 0.0f);
+  const std::span<const float> a_short(a.data(), 5);
+  const std::span<const float> b_short(b.data(), 11);
+  const std::span<float> c_short(c.data(), 7);
+  for (const Gemm gemm : {Gemm{gemm_nn}, Gemm{gemm_nt}, Gemm{gemm_tn}}) {
+    EXPECT_NO_THROW(gemm(2, 3, 4, a, b, c, 0.0f));
+    EXPECT_THROW(gemm(2, 3, 4, a_short, b, c, 0.0f), std::invalid_argument);
+    EXPECT_THROW(gemm(2, 3, 4, a, b_short, c, 0.0f), std::invalid_argument);
+    EXPECT_THROW(gemm(2, 3, 4, a, b, c_short, 0.0f), std::invalid_argument);
+  }
 }
 
 }  // namespace
